@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainTooSmall, NormNotContractive
-from .linalg import RationalMatrix, inverse
+from .errors import DomainTooSmall, IndexOverflow, NormNotContractive
+from .linalg import DilationMatrix, RationalMatrix, inverse
 from .mask import Mask, Problem
 from .bounds import finite_level_ball
 
@@ -127,17 +128,6 @@ class SampledFunction:
             for idx, v in zip(self.indices, self.values)
         }
 
-    def value_at(self, index: Sequence[int]) -> float:
-        key = np.asarray(index, dtype=np.int64)
-        matches = np.all(self.indices == key, axis=1)
-        hits = np.flatnonzero(matches)
-        return float(self.values[hits[0]]) if len(hits) else 0.0
-
-
-def _sorted_samples(indices: np.ndarray, values: np.ndarray):
-    order = np.lexsort(indices.T[::-1])
-    return indices[order], values[order]
-
 
 def initial_samples(
     kind: InitialFunctionKind,
@@ -172,28 +162,53 @@ def refinement_step(
     """One application of the lattice recurrence, taking level step-1 samples
     to level ``step``: out(k) = m * sum_q c_q in(k - M^(step-1) q).
 
-    Implemented as a scatter over the stored samples followed by a
+    Implemented as a tap-major scatter over the stored samples followed by a
     deterministic duplicate merge, so the output support is exactly the
-    reachable index set.  This function is the single kernel shared by
-    :func:`cascade_step` and value refinement.
+    reachable index set (exact-zero sums included), in lexicographic order.
+    The merge keys each index by its row-major position in the hull of the
+    scattered indices, so one 1-D unique replaces a sort of rows.  This
+    function is the single kernel shared by :func:`cascade_step` and value
+    refinement.
     """
     if step < 1:
         raise ValueError("step must be positive")
     power = problem.matrix.power(step - 1)
     if max(abs(x) for row in power.rows for x in row) >= _INDEX_LIMIT:
-        raise OverflowError("matrix power too large for int64 lattice indices")
+        raise IndexOverflow(
+            f"M^{step - 1} has entries too large for int64 lattice indices"
+        )
+    d = problem.dim
+    if len(indices) == 0:
+        return np.zeros((0, d), dtype=np.int64), np.zeros(0)
+    taps = problem.mask.items_sorted()
+    shifts = [power.apply(q) for q, _ in taps]
+    # the exact hull of indices + shifts, in Python ints so nothing can wrap
+    first = [int(x) for x in indices.min(axis=0)]
+    last = [int(x) for x in indices.max(axis=0)]
+    low = [min(s[i] for s in shifts) for i in range(d)]
+    high = [max(s[i] for s in shifts) for i in range(d)]
+    lo = [a + b for a, b in zip(first, low)]
+    hi = [a + b for a, b in zip(last, high)]
+    widths = [b - a + 1 for a, b in zip(lo, hi)]
+    if max(map(abs, lo + hi)) >= _INDEX_LIMIT or math.prod(widths) >= 2**63:
+        raise IndexOverflow(f"level-{step} lattice indices do not fit in int64")
+    strides = [math.prod(widths[i + 1 :]) for i in range(d)]
+    # key(k + shift) = key of k relative to the input hull + key of the shift
+    # relative to the lowest shift; both parts are nonnegative
+    base = (indices - np.asarray(first, dtype=np.int64)) @ np.asarray(strides, dtype=np.int64)
     m = float(problem.m)
-    shifted: list[np.ndarray] = []
-    scaled: list[np.ndarray] = []
-    for q, coeff in problem.mask.items_sorted():
-        shift = np.asarray(power.apply(q), dtype=np.int64)
-        shifted.append(indices + shift)
-        scaled.append(values * (m * coeff))
-    all_idx = np.concatenate(shifted, axis=0)
-    all_val = np.concatenate(scaled)
-    unique, inv = np.unique(all_idx, axis=0, return_inverse=True)
-    sums = np.bincount(inv.reshape(-1), weights=all_val, minlength=len(unique))
-    return unique, sums
+    keys = np.concatenate([
+        base + sum((s[i] - low[i]) * strides[i] for i in range(d)) for s in shifts
+    ])
+    scaled = np.concatenate([values * (m * coeff) for _, coeff in taps])
+    unique, inv = np.unique(keys, return_inverse=True)
+    sums = np.bincount(inv, weights=scaled, minlength=len(unique))
+    out = np.empty((len(unique), d), dtype=np.int64)
+    rest = unique
+    for i in range(d):
+        out[:, i], rest = np.divmod(rest, strides[i])
+        out[:, i] += lo[i]
+    return out, sums
 
 
 def cascade_step(
@@ -357,18 +372,34 @@ def sample_header(dim: int) -> str:
     return f"level\t{ks}\t{xs}\tvalue"
 
 
+# Rows formatted per write.  Larger chunks are no faster, and from about 4096
+# rows on their transient strings raise the process's peak memory.
+_WRITE_CHUNK = 1024
+
+
 def write_rows(
     stream: IO[str],
-    dim: int,
-    rows: Iterable[tuple[int, tuple[int, ...], tuple[float, ...], float]],
+    matrix: DilationMatrix,
+    levels: Iterable[tuple[int, np.ndarray, np.ndarray]],
 ) -> None:
-    """Write delimited rows (level, index, coordinates, value) with a
-    mandatory header; floats use shortest round-trip formatting."""
-    stream.write(sample_header(dim) + "\n")
-    for level, index, coords, value in rows:
-        ks = "\t".join(str(int(k)) for k in index)
-        xs = "\t".join(repr(float(x)) for x in coords)
-        stream.write(f"{level}\t{ks}\t{xs}\t{value!r}\n")
+    """Write ``(level, indices, values)`` blocks as delimited rows (level,
+    index, coordinates, value) under a mandatory header.
+
+    The coordinates of a level are x = k (M^-n)^T, computed once for the
+    whole level; floats use shortest round-trip formatting.  Columns are
+    formatted whole and rows joined a chunk at a time, so no level's text is
+    held in memory at once.
+    """
+    stream.write(sample_header(matrix.dim) + "\n")
+    for level, indices, values in levels:
+        coords = indices.astype(float) @ matrix.inverse_power_array(level).T
+        prefix = itertools.repeat(str(level))
+        for start in range(0, len(values), _WRITE_CHUNK):
+            part = slice(start, start + _WRITE_CHUNK)
+            columns = [map(str, column.tolist()) for column in indices[part].T]
+            columns += [map(repr, column.tolist()) for column in coords[part].T]
+            columns.append(map(repr, values[part].tolist()))
+            stream.write("\n".join(map("\t".join, zip(prefix, *columns))) + "\n")
 
 
 def write_samples(
@@ -378,21 +409,7 @@ def write_samples(
 ) -> None:
     """Dump one or more cascade iterates in the shared delimited layout."""
     funcs = sorted(sampled_functions, key=lambda f: f.level)
-    dim = problem.dim
-
-    def rows():
-        for func in funcs:
-            inv_power = problem.matrix.inverse_power_array(func.level)
-            coords = func.indices.astype(float) @ inv_power.T
-            for idx, xrow, value in zip(func.indices, coords, func.values):
-                yield (
-                    func.level,
-                    tuple(int(i) for i in idx),
-                    tuple(float(x) for x in xrow),
-                    float(value),
-                )
-
-    write_rows(stream, dim, rows())
+    write_rows(stream, problem.matrix, ((f.level, f.indices, f.values) for f in funcs))
 
 
 def read_rows(stream: IO[str]) -> list[tuple[int, tuple[int, ...], tuple[float, ...], float]]:

@@ -461,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=cascade_mod.DEFAULT_SUPPORT_EPS,
                    help="support threshold (default 1e-12)")
     p.add_argument("--outdir", default=".", help="directory for sample dumps")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; evaluation is vectorized")
 
     p = add("values", _cmd_values, "integer-point values via the transfer matrix")
     p.add_argument("--left-closed", action="store_true",

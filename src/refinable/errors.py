@@ -93,6 +93,15 @@ class NormalizationImpossible(RefinableError):
     to a partition of unity."""
 
 
+class EnumerationTooLarge(RefinableError):
+    """A level's lattice enumeration box holds more points than the
+    enumeration cap allows."""
+
+
+class IndexOverflow(RefinableError):
+    """Lattice indices at the requested level would not fit in int64."""
+
+
 # --- warnings ----------------------------------------------------------------
 
 class NonUniqueWarning(UserWarning):

@@ -67,9 +67,6 @@ class IntMatrix:
     def as_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
 
-    def as_int_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64)
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)))
 
@@ -721,13 +718,40 @@ class DilationMatrix:
     def jordan_structure(self) -> JordanStructure:
         return real_jordan_structure(self.matrix)
 
+    # Powers are memoized per exponent: the cascade, the refinement, the
+    # enumeration and the writers all ask for the same few levels.
+    @cached_property
+    def _powers(self) -> dict[int, IntMatrix]:
+        return {}
+
+    @cached_property
+    def _inverse_powers(self) -> list[RationalMatrix]:
+        return []
+
+    @cached_property
+    def _inverse_arrays(self) -> dict[int, np.ndarray]:
+        return {}
+
     def power(self, n: int) -> IntMatrix:
-        return integer_power(self.matrix, n)
+        """Exact M^n (n >= 0)."""
+        if n not in self._powers:
+            self._powers[n] = integer_power(self.matrix, n)
+        return self._powers[n]
 
     def inverse_power(self, n: int) -> RationalMatrix:
-        return rational_inverse_power(self.matrix, n)
+        """Exact M^-n (n >= 1); each exponent not seen before costs one
+        product with M^-1."""
+        if n < 1:
+            raise ValueError("power must be positive")
+        powers = self._inverse_powers
+        while len(powers) < n:
+            powers.append(powers[-1].matmul(self.inverse) if powers else self.inverse)
+        return powers[n - 1]
 
     def inverse_power_array(self, n: int) -> np.ndarray:
-        if n == 0:
-            return np.eye(self.dim)
-        return self.inverse_power(n).as_array()
+        """M^-n rounded to floats, as a read-only array."""
+        if n not in self._inverse_arrays:
+            array = np.eye(self.dim) if n == 0 else self.inverse_power(n).as_array()
+            array.flags.writeable = False
+            self._inverse_arrays[n] = array
+        return self._inverse_arrays[n]

@@ -10,7 +10,6 @@ module uses, level by level.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from .cascade import read_rows, refinement_step, write_rows
 from .errors import (
     ContractionSearchExhausted,
     DomainTooSmall,
+    EnumerationTooLarge,
     NoBoundAvailable,
     NonUniqueWarning,
     NormalizationImpossible,
@@ -57,18 +57,17 @@ def candidate_points(problem: Problem) -> tuple[tuple[int, ...], ...]:
     return lattice_points_in_bound(problem, bound, 0)
 
 
-def lattice_points_in_bound(
-    problem: Problem, bound: SupportBound, level: int
-) -> tuple[tuple[int, ...], ...]:
-    """Integer indices k with M^-level k inside the bound, in lex order."""
-    d = problem.dim
+def _enumeration_halves(problem: Problem, bound: SupportBound, level: int) -> list[int]:
+    """Half-widths of the origin-centred index box that holds every k with
+    M^-level k inside the bound; raises EnumerationTooLarge when the box
+    holds more points than the enumeration cap."""
     if level == 0:
         box = enclosing_integer_box(bound)
         halves = [int(h) for h in box.half_widths]
     else:
         power = problem.matrix.power(level).as_array()
         if isinstance(bound, Ball):
-            extents = [bound.radius * float(np.linalg.norm(power[i])) for i in range(d)]
+            extents = [bound.radius * float(np.linalg.norm(row)) for row in power]
         elif isinstance(bound, Box):
             extents = list(np.abs(power) @ np.asarray(bound.half_widths))
         else:
@@ -76,11 +75,20 @@ def lattice_points_in_bound(
             extents = list(mapped @ np.asarray(bound.half_widths))
         # one cell of margin so membership-tolerance slop cannot drop points
         halves = [int(math.ceil(e + 1e-6)) + 1 for e in extents]
-    volume = 1
-    for h in halves:
-        volume *= 2 * h + 1
+    volume = math.prod(2 * h + 1 for h in halves)
     if volume > _ENUMERATION_CAP:
-        raise MemoryError(f"lattice enumeration of {volume} points refused")
+        raise EnumerationTooLarge(
+            f"level-{level} lattice enumeration of {volume} points exceeds "
+            f"the cap of {_ENUMERATION_CAP}"
+        )
+    return halves
+
+
+def lattice_points_in_bound(
+    problem: Problem, bound: SupportBound, level: int
+) -> tuple[tuple[int, ...], ...]:
+    """Integer indices k with M^-level k inside the bound, in lex order."""
+    halves = _enumeration_halves(problem, bound, level)
     grids = np.meshgrid(
         *[np.arange(-h, h + 1, dtype=np.int64) for h in halves], indexing="ij"
     )
@@ -275,6 +283,9 @@ def refine_values(
                 f"seed index {tuple(key)} is outside the candidate set"
             )
     bound = best_bound(problem)
+    # refuse an oversized level before any refinement work is spent
+    for level in range(1, levels + 1):
+        _enumeration_halves(problem, bound, level)
     seed = {p: 0.0 for p in points}
     seed.update({tuple(k): float(v) for k, v in level0.items()})
     table: dict[int, dict[tuple[int, ...], float]] = {0: seed}
@@ -346,19 +357,14 @@ def export_values(problem: Problem, table: ValueTable, stream: IO[str]) -> None:
     """Serialize a ValueTable deterministically, sorted by (level, index)."""
     dim = problem.dim
 
-    def rows():
+    def levels():
         for level in sorted(table.levels):
-            inv_power = problem.matrix.inverse_power_array(level)
-            for idx in sorted(table.levels[level]):
-                coords = inv_power @ np.asarray(idx, dtype=float)
-                yield (
-                    level,
-                    idx,
-                    tuple(float(x) for x in coords),
-                    table.levels[level][idx],
-                )
+            stored = table.levels[level]
+            keys = sorted(stored)
+            indices = np.array(keys, dtype=np.int64).reshape(len(keys), dim)
+            yield level, indices, np.array([stored[k] for k in keys], dtype=float)
 
-    write_rows(stream, dim, rows())
+    write_rows(stream, problem.matrix, levels())
 
 
 def read_values(stream: IO[str]) -> ValueTable:

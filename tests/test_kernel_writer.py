@@ -1,0 +1,270 @@
+"""The refinement kernel, the column-wise sample writer, and the typed errors
+for oversized enumerations and int64 index overflow."""
+
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from refinable import cli, pointwise, problem_from_data
+from refinable.cascade import _WRITE_CHUNK, refinement_step, sample_header, write_rows
+from refinable.errors import EnumerationTooLarge, IndexOverflow, RefinableError
+from refinable.linalg import DilationMatrix, IntMatrix, is_dilation
+
+SKEW3 = Path(__file__).resolve().parent.parent / "demos" / "problems" / "skew3.json"
+
+
+# ---------------------------------------------------------------------------
+# the kernel against a plain dict accumulation
+# ---------------------------------------------------------------------------
+
+def reference_step(problem, indices, values, step):
+    """out(k) = m sum_q c_q in(k - M^(step-1) q), accumulated tap by tap in
+    a dict; keys in lexicographic order."""
+    power = problem.matrix.power(step - 1)
+    m = float(problem.m)
+    acc = {}
+    for q, coeff in problem.mask.items_sorted():
+        shift = power.apply(q)
+        for idx, value in zip(indices.tolist(), values.tolist()):
+            key = tuple(a + b for a, b in zip(idx, shift))
+            acc[key] = acc.get(key, 0.0) + value * (m * coeff)
+    keys = sorted(acc)
+    return keys, [acc[k] for k in keys]
+
+
+@st.composite
+def dilations(draw):
+    d = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+            min_size=d, max_size=d,
+        )
+    )
+    assume(bool(is_dilation(IntMatrix.from_rows(rows))))
+    return d, rows
+
+
+@st.composite
+def kernel_inputs(draw):
+    d, rows = draw(dilations())
+    vector = st.tuples(*[st.integers(-2, 2)] * d)
+    taps = draw(st.lists(vector, min_size=1, max_size=5, unique=True))
+    # dyadic coefficients summing to one: products and sums stay exact, so
+    # cancellations to an exact zero happen often
+    nums = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=len(taps) - 1,
+                         max_size=len(taps) - 1))
+    nums.append(8 - sum(nums))
+    assume(nums[-1] != 0)
+    records = [{"q": list(q), "c": f"{n}/8"} for q, n in zip(taps, nums)]
+    problem = problem_from_data(d, rows, records)
+    points = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * d), min_size=1,
+                           max_size=25, unique=True))
+    value = st.one_of(
+        st.sampled_from([-1.0, -0.5, 0.0, -0.0, 0.5, 1.0, 2.0]),
+        st.floats(-10, 10, allow_nan=False),
+    )
+    values = draw(st.lists(value, min_size=len(points), max_size=len(points)))
+    step = draw(st.integers(1, 3))
+    return problem, np.asarray(points, dtype=np.int64), np.asarray(values), step
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kernel_inputs())
+def test_kernel_matches_dict_accumulation(case):
+    problem, indices, values, step = case
+    out, sums = refinement_step(problem, indices, values, step)
+    keys, expected = reference_step(problem, indices, values, step)
+    assert out.dtype == np.int64
+    assert [tuple(row) for row in out.tolist()] == keys
+    # bit-equal, so exact zeros and their signs must agree too
+    assert np.array_equal(sums.view(np.int64), np.asarray(expected).view(np.int64))
+
+
+def test_kernel_keeps_exact_zero_sums(haar_problem):
+    indices = np.array([[0], [1]], dtype=np.int64)
+    values = np.array([1.0, -1.0])
+    out, sums = refinement_step(haar_problem, indices, values, 1)
+    assert out.tolist() == [[0], [1], [2]]
+    assert sums.tolist() == [1.0, 0.0, -1.0]
+
+
+def test_kernel_on_empty_input(quincunx_problem):
+    out, sums = refinement_step(
+        quincunx_problem, np.zeros((0, 2), dtype=np.int64), np.zeros(0), 2
+    )
+    assert out.shape == (0, 2) and sums.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the column-wise writer against the per-row format
+# ---------------------------------------------------------------------------
+
+def per_row_reference(matrix, blocks):
+    """The per-row f-string layout the writer must reproduce byte for byte."""
+    lines = [sample_header(matrix.dim)]
+    for level, indices, values in blocks:
+        coords = indices.astype(float) @ matrix.inverse_power_array(level).T
+        for idx, xrow, value in zip(indices, coords, values):
+            ks = "\t".join(str(int(k)) for k in idx)
+            xs = "\t".join(repr(float(x)) for x in xrow)
+            lines.append(f"{level}\t{ks}\t{xs}\t{float(value)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def written(matrix, blocks):
+    buffer = io.StringIO()
+    write_rows(buffer, matrix, blocks)
+    return buffer.getvalue()
+
+
+MATRICES = {
+    1: DilationMatrix.from_rows([[2]]),
+    2: DilationMatrix.from_rows([[0, 1], [3, 1]]),
+    3: DilationMatrix.from_rows([[1, 1, 0], [0, 1, 1], [2, 0, 1]]),
+}
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1.5, 1 / 3]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_writer_edge_cases(d):
+    matrix = MATRICES[d]
+    big = 2**62 - 1
+    indices = np.array(
+        [[big] * d, [-big] * d, [0] * d, [1] * d, [-(2**53) - 1] * d,
+         [7, -3, 11][:d], [2**40] * d, [-1] * d],
+        dtype=np.int64,
+    )
+    blocks = [
+        (0, np.zeros((0, d), dtype=np.int64), np.zeros(0)),
+        (1, indices, np.asarray(EDGE_VALUES)),
+        (4, indices[::-1].copy(), -np.asarray(EDGE_VALUES)),
+    ]
+    assert written(matrix, blocks) == per_row_reference(matrix, blocks)
+
+
+def test_writer_header_only_when_empty():
+    matrix = MATRICES[2]
+    assert written(matrix, []) == sample_header(2) + "\n"
+    empty = [(3, np.zeros((0, 2), dtype=np.int64), np.zeros(0))]
+    assert written(matrix, empty) == sample_header(2) + "\n"
+
+
+def test_writer_across_chunk_boundaries():
+    matrix = MATRICES[3]
+    rng = np.random.default_rng(5)
+    n = 3 * _WRITE_CHUNK + 17
+    indices = rng.integers(-10**6, 10**6, size=(n, 3))
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, size=n)
+    blocks = [(2, indices, values)]
+    assert written(matrix, blocks) == per_row_reference(matrix, blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(
+                st.tuples(
+                    st.tuples(*[st.integers(-(2**62), 2**62)] * d),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+                max_size=30,
+            ),
+            st.integers(0, 6),
+        )
+    )
+)
+def test_writer_matches_per_row_format(case):
+    d, rows, level = case
+    indices = np.array([r[0] for r in rows], dtype=np.int64).reshape(len(rows), d)
+    values = np.array([r[1] for r in rows], dtype=float)
+    blocks = [(level, indices, values)]
+    assert written(MATRICES[d], blocks) == per_row_reference(MATRICES[d], blocks)
+
+
+def read_x_columns(outdir):
+    """Map (level, k) to the printed x columns over every dump in outdir."""
+    columns = {}
+    for path in sorted(Path(outdir).glob("*.tsv")):
+        lines = path.read_text().splitlines()
+        d = (len(lines[0].split("\t")) - 2) // 2
+        for line in lines[1:]:
+            parts = line.split("\t")
+            columns[tuple(parts[: 1 + d])] = parts[1 + d : 1 + 2 * d]
+    return columns
+
+
+def test_cascade_and_refine_dumps_agree_on_x(tmp_path, capsys):
+    assert cli.main(["cascade", str(SKEW3), "--iters", "4",
+                     "--outdir", str(tmp_path / "cascade")]) == 0
+    assert cli.main(["refine", str(SKEW3), "--left-closed", "--levels", "4",
+                     "--outdir", str(tmp_path / "refine")]) == 0
+    capsys.readouterr()
+    cascade = read_x_columns(tmp_path / "cascade")
+    refine = read_x_columns(tmp_path / "refine")
+    shared = cascade.keys() & refine.keys()
+    assert len(shared) > 100
+    assert all(cascade[key] == refine[key] for key in shared)
+
+
+# ---------------------------------------------------------------------------
+# memoized matrix powers
+# ---------------------------------------------------------------------------
+
+def test_powers_are_memoized_and_read_only():
+    matrix = DilationMatrix.from_rows([[0, 1], [3, 1]])
+    assert matrix.power(3) is matrix.power(3)
+    assert matrix.power(3).rows == ((3, 4), (12, 7))
+    assert matrix.inverse_power(4) is matrix.inverse_power(4)
+    array = matrix.inverse_power_array(2)
+    assert array is matrix.inverse_power_array(2)
+    assert not array.flags.writeable
+    np.testing.assert_array_equal(array, matrix.inverse_power(2).as_array())
+    assert not matrix.inverse_power_array(0).flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# typed errors, exit code 3
+# ---------------------------------------------------------------------------
+
+def error_lines(capsys):
+    return capsys.readouterr().err.strip().splitlines()
+
+
+def test_index_overflow_is_typed(tmp_path, capsys):
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps({
+        "dimension": 1, "matrix": [[100000]],
+        "coefficients": [{"q": [0], "c": "1/2"}, {"q": [1], "c": "1/2"}],
+    }))
+    rc = cli.main(["cascade", str(doc), "--iters", "5", "--outdir", str(tmp_path)])
+    lines = error_lines(capsys)
+    assert rc == 3
+    assert len(lines) == 1 and lines[0].startswith("error: IndexOverflow: ")
+    assert issubclass(IndexOverflow, RefinableError)
+
+
+def test_enumeration_refused_before_refining(tmp_path, capsys, monkeypatch):
+    def no_refinement(*args):
+        raise AssertionError("refinement ran before the enumeration check")
+
+    monkeypatch.setattr(pointwise, "refinement_step", no_refinement)
+    rc = cli.main(["refine", str(SKEW3), "--left-closed", "--levels", "9",
+                   "--outdir", str(tmp_path)])
+    lines = error_lines(capsys)
+    assert rc == 3
+    assert len(lines) == 1 and lines[0].startswith("error: EnumerationTooLarge: ")
+    assert not list(tmp_path.glob("*.tsv"))
+
+
+def test_lattice_enumeration_cap_is_typed(quincunx_problem):
+    bound = pointwise.best_bound(quincunx_problem)
+    with pytest.raises(EnumerationTooLarge):
+        pointwise.lattice_points_in_bound(quincunx_problem, bound, 60)
