@@ -83,6 +83,7 @@ from .pointwise import (
     lattice_points_in_bound,
     periodization_check,
     read_values,
+    refine_consistency,
     refine_values,
 )
 

@@ -123,10 +123,7 @@ class SampledFunction:
         return self.indices.shape[1]
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
-        return {
-            tuple(int(x) for x in idx): float(v)
-            for idx, v in zip(self.indices, self.values)
-        }
+        return dict(zip(map(tuple, self.indices.tolist()), self.values.tolist()))
 
 
 def initial_samples(

@@ -324,12 +324,12 @@ def _cmd_refine(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.problem).stem
-    for level in sorted(table.levels):
-        single = pointwise_mod.ValueTable({level: table.levels[level]}, table.normalized)
+    for level, sampled in sorted(table.samples.items()):
+        single = pointwise_mod.ValueTable({level: sampled}, table.normalized)
         path = outdir / f"{stem}.level{level}.tsv"
         with open(path, "w") as handle:
             pointwise_mod.export_values(problem, single, handle)
-        print(f"level {level}: {len(table.levels[level])} lattice points -> {path}")
+        print(f"level {level}: {len(sampled.values)} lattice points -> {path}")
     return 0
 
 
@@ -405,14 +405,7 @@ def _cmd_check(args) -> int:
 
     if result is not None and result.normalized:
         table = pointwise_mod.refine_values(problem, result.values, args.levels)
-        worst = 0.0
-        mat_rows = problem.matrix.matrix
-        for level in range(1, args.levels + 1):
-            for idx, value in table.levels[level - 1].items():
-                image = mat_rows.apply(idx)
-                upper = table.levels[level].get(image)
-                if upper is not None:
-                    worst = max(worst, abs(upper - value))
+        worst = pointwise_mod.refine_consistency(problem, table)
         report("refine-consistency", worst <= 1e-12, f"max deviation {worst:.3g}")
         probes = [tuple(float(x) for x in p) for p in points]
         deviations = pointwise_mod.periodization_check(problem, table, 0, probes)

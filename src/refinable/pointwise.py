@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -25,11 +26,12 @@ from .bounds import (
     best_bound,
     enclosing_integer_box,
 )
-from .cascade import read_rows, refinement_step, write_rows
+from .cascade import IntBox, SampledFunction, read_rows, refinement_step, write_rows
 from .errors import (
     ContractionSearchExhausted,
     DomainTooSmall,
     EnumerationTooLarge,
+    IndexOverflow,
     NoBoundAvailable,
     NonUniqueWarning,
     NormalizationImpossible,
@@ -54,7 +56,7 @@ def candidate_points(problem: Problem) -> tuple[tuple[int, ...], ...]:
         bound = best_bound(problem)
     except ContractionSearchExhausted as exc:
         raise NoBoundAvailable(str(exc)) from exc
-    return lattice_points_in_bound(problem, bound, 0)
+    return tuple(map(tuple, lattice_points_in_bound(problem, bound, 0).tolist()))
 
 
 def _enumeration_halves(problem: Problem, bound: SupportBound, level: int) -> list[int]:
@@ -86,17 +88,40 @@ def _enumeration_halves(problem: Problem, bound: SupportBound, level: int) -> li
 
 def lattice_points_in_bound(
     problem: Problem, bound: SupportBound, level: int
-) -> tuple[tuple[int, ...], ...]:
-    """Integer indices k with M^-level k inside the bound, in lex order."""
+) -> np.ndarray:
+    """Integer indices k with M^-level k inside the bound, as distinct
+    ``(n, d)`` int64 rows in lexicographic order."""
     halves = _enumeration_halves(problem, bound, level)
     grids = np.meshgrid(
         *[np.arange(-h, h + 1, dtype=np.int64) for h in halves], indexing="ij"
     )
     points = np.stack([g.reshape(-1) for g in grids], axis=1)
     coords = points.astype(float) @ problem.matrix.inverse_power_array(level).T
-    keep = bound.contains_many(coords)
-    kept = points[keep]
-    return tuple(tuple(int(x) for x in row) for row in kept)
+    return points[bound.contains_many(coords)]
+
+
+def _locate(rows: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the ``queries`` among the distinct, lexicographically
+    sorted ``rows``, and a mask of the queries found there.
+
+    Both are keyed by their row-major position in the common hull; that key
+    preserves lexicographic order, so the row keys are already sorted and one
+    binary search per query suffices.
+    """
+    if len(rows) == 0 or len(queries) == 0:
+        return np.zeros(len(queries), dtype=np.int64), np.zeros(len(queries), dtype=bool)
+    lo = np.minimum(rows.min(axis=0), queries.min(axis=0))
+    hi = np.maximum(rows.max(axis=0), queries.max(axis=0))
+    widths = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
+    if math.prod(widths) >= 2**63:
+        raise IndexOverflow("lattice index hull does not fit in int64 keys")
+    strides = np.asarray(
+        [math.prod(widths[i + 1 :]) for i in range(len(widths))], dtype=np.int64
+    )
+    keys = (rows - lo) @ strides
+    probes = (queries - lo) @ strides
+    pos = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
+    return pos, keys[pos] == probes
 
 
 @dataclass(frozen=True)
@@ -114,23 +139,25 @@ class TransferMatrix:
 def build_transfer_matrix(
     problem: Problem, points: Sequence[Sequence[int]]
 ) -> TransferMatrix:
-    """Assemble the transfer matrix by exact integer index arithmetic and
-    mask lookups; indices outside the mask support contribute zero."""
+    """Assemble the transfer matrix by exact integer index arithmetic: row i
+    holds m c_q at the column of M k_i - q for every mask tap q whose point
+    is a candidate, so the cost is O(N |mask|).  Each entry gets at most one
+    tap, since q = M k_i - k_j is fixed by (i, j)."""
     pts = tuple(tuple(int(x) for x in p) for p in points)
     if not pts:
         raise ValueError("points must be nonempty")
-    if len(set(pts)) != len(pts):
+    column = {p: j for j, p in enumerate(pts)}
+    if len(column) != len(pts):
         raise ValueError("points must be distinct")
     m = float(problem.m)
-    coeffs = problem.mask.coefficients
+    taps = problem.mask.items_sorted()
     n = len(pts)
     matrix = np.zeros((n, n))
     for i, ki in enumerate(pts):
         mki = problem.matrix.matrix.apply(ki)
-        for j, kj in enumerate(pts):
-            q = tuple(a - b for a, b in zip(mki, kj))
-            c = coeffs.get(q)
-            if c is not None:
+        for q, c in taps:
+            j = column.get(tuple(a - b for a, b in zip(mki, q)))
+            if j is not None:
                 matrix[i, j] = m * c
     return TransferMatrix(pts, matrix)
 
@@ -249,15 +276,25 @@ def converged_integer_values(
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Limit-function values phi(M^-j k) for levels j = 0..J, keyed by the
-    integer index k at each level."""
+    """Limit-function values phi(M^-j k) for levels j = 0..J; level j is
+    stored as the sorted index and value arrays of a SampledFunction."""
 
-    levels: dict[int, dict[tuple[int, ...], float]]
+    samples: dict[int, SampledFunction]
     normalized: bool
 
     @property
     def max_level(self) -> int:
-        return max(self.levels)
+        return max(self.samples)
+
+    @cached_property
+    def levels(self) -> dict[int, dict[tuple[int, ...], float]]:
+        """The same values keyed by index tuples, built once on first use;
+        treat it as read-only."""
+        return {j: f.as_dict() for j, f in self.samples.items()}
+
+
+def _sampled(level: int, indices: np.ndarray, values: np.ndarray) -> SampledFunction:
+    return SampledFunction(level, indices, values, IntBox.hull(indices))
 
 
 def refine_values(
@@ -268,29 +305,29 @@ def refine_values(
     """Extend integer-point values to the lattices M^-j Z^d, j = 1..levels.
 
     Each level applies the shared refinement kernel and stores every index
-    whose lattice point lies inside the support bound.  Values escaping the
-    bound abort with DomainTooSmall when they exceed the noise floor (that
-    signals a bound or seed inconsistency), and are discarded as roundoff
-    dust otherwise.
+    whose lattice point lies inside the support bound, with value zero where
+    the kernel produced none.  Values escaping the bound abort with
+    DomainTooSmall when they exceed the noise floor (that signals a bound or
+    seed inconsistency), and are discarded as roundoff dust otherwise.
     """
     if levels < 1:
         raise ValueError("levels must be positive")
     points = candidate_points(problem)
-    point_set = set(points)
-    for key in level0:
-        if tuple(key) not in point_set:
+    position = {p: i for i, p in enumerate(points)}
+    values = np.zeros(len(points))
+    for key, value in level0.items():
+        i = position.get(tuple(key))
+        if i is None:
             raise DomainTooSmall(
                 f"seed index {tuple(key)} is outside the candidate set"
             )
+        values[i] = float(value)
     bound = best_bound(problem)
     # refuse an oversized level before any refinement work is spent
     for level in range(1, levels + 1):
         _enumeration_halves(problem, bound, level)
-    seed = {p: 0.0 for p in points}
-    seed.update({tuple(k): float(v) for k, v in level0.items()})
-    table: dict[int, dict[tuple[int, ...], float]] = {0: seed}
-    indices = np.asarray(points, dtype=np.int64)
-    values = np.asarray([seed[p] for p in points])
+    indices = np.asarray(points, dtype=np.int64).reshape(len(points), problem.dim)
+    samples = {0: _sampled(0, indices, values)}
     for level in range(1, levels + 1):
         indices, values = refinement_step(problem, indices, values, level)
         coords = indices.astype(float) @ problem.matrix.inverse_power_array(level).T
@@ -302,17 +339,30 @@ def refine_values(
                 f"value {escaped.max():.3g} escaped the support bound at "
                 f"level {level}; bound, seed, or enumeration is inconsistent"
             )
-        stored = {
-            tuple(int(x) for x in idx): float(v)
-            for idx, v in zip(indices[inside], values[inside])
-        }
+        kept = values[inside]
         targets = lattice_points_in_bound(problem, bound, level)
-        level_values = {p: stored.get(p, 0.0) for p in targets}
-        table[level] = level_values
-        indices = np.asarray(targets, dtype=np.int64)
-        values = np.asarray([level_values[p] for p in targets])
-    total = math.fsum(seed.values())
-    return ValueTable(table, abs(total - 1.0) <= 1e-12)
+        pos, found = _locate(indices[inside], targets)
+        values = np.zeros(len(targets))
+        values[found] = kept[pos[found]]
+        indices = targets
+        samples[level] = _sampled(level, indices, values)
+    total = math.fsum(samples[0].values.tolist())
+    return ValueTable(samples, abs(total - 1.0) <= 1e-12)
+
+
+def refine_consistency(problem: Problem, table: ValueTable) -> float:
+    """Largest |phi_j(M k) - phi_(j-1)(k)| over the indices k of each level
+    below the top whose image M k is stored one level up; both sides sample
+    phi at the same point M^-(j-1) k."""
+    transpose = np.asarray(problem.matrix.matrix.rows, dtype=np.int64).T
+    worst = 0.0
+    for level in range(1, table.max_level + 1):
+        coarse, fine = table.samples[level - 1], table.samples[level]
+        pos, found = _locate(fine.indices, coarse.indices @ transpose)
+        if found.any():
+            gap = np.abs(fine.values[pos[found]] - coarse.values[found])
+            worst = max(worst, float(gap.max()))
+    return worst
 
 
 def periodization_check(
@@ -323,9 +373,9 @@ def periodization_check(
 ) -> tuple[tuple[tuple[float, ...], float, float], ...]:
     """For each probe x on the level-j lattice, sum the stored values over
     the integer translates x + k and report (probe, total, |total - 1|)."""
-    if level not in table.levels:
+    if level not in table.samples:
         raise ValueError(f"table has no level {level}")
-    stored = table.levels[level]
+    stored = table.samples[level]
     power = problem.matrix.power(level)
     inv_power = problem.matrix.inverse_power(level) if level else None
     results = []
@@ -336,7 +386,7 @@ def periodization_check(
         if np.max(np.abs(kx_float - np.asarray(kx, dtype=float))) > 1e-6:
             raise ValueError(f"probe {x} is not on the level-{level} lattice")
         total = 0.0
-        for idx, value in stored.items():
+        for idx, value in zip(stored.indices.tolist(), stored.values.tolist()):
             delta = [a - b for a, b in zip(idx, kx)]
             if level == 0:
                 integral = True
@@ -355,25 +405,31 @@ def periodization_check(
 
 def export_values(problem: Problem, table: ValueTable, stream: IO[str]) -> None:
     """Serialize a ValueTable deterministically, sorted by (level, index)."""
-    dim = problem.dim
-
-    def levels():
-        for level in sorted(table.levels):
-            stored = table.levels[level]
-            keys = sorted(stored)
-            indices = np.array(keys, dtype=np.int64).reshape(len(keys), dim)
-            yield level, indices, np.array([stored[k] for k in keys], dtype=float)
-
-    write_rows(stream, problem.matrix, levels())
+    write_rows(
+        stream,
+        problem.matrix,
+        ((j, f.indices, f.values) for j, f in sorted(table.samples.items())),
+    )
 
 
 def read_values(stream: IO[str]) -> ValueTable:
-    """Parse an exported ValueTable; values round-trip bit-exactly."""
-    levels: dict[int, dict[tuple[int, ...], float]] = {}
+    """Parse an exported ValueTable; values round-trip bit-exactly.  A level
+    without rows is absent from the file and so from the table."""
+    rows: dict[int, tuple[list, list]] = {}
     for level, index, _, value in read_rows(stream):
-        levels.setdefault(level, {})[index] = value
-    if not levels:
-        levels = {}
-    level0 = levels.get(0, {})
-    normalized = abs(math.fsum(level0.values()) - 1.0) <= 1e-12 if level0 else False
-    return ValueTable(levels, normalized)
+        indices, values = rows.setdefault(level, ([], []))
+        indices.append(index)
+        values.append(value)
+    samples = {}
+    for level, (index_rows, value_list) in sorted(rows.items()):
+        indices = np.asarray(index_rows, dtype=np.int64)
+        order = np.lexsort(indices.T[::-1])
+        indices = indices[order]
+        if np.any(np.all(indices[1:] == indices[:-1], axis=1)):
+            raise ValueError(f"level {level} repeats an index")
+        samples[level] = _sampled(level, indices, np.asarray(value_list)[order])
+    level0 = samples.get(0)
+    normalized = (
+        level0 is not None and abs(math.fsum(level0.values.tolist()) - 1.0) <= 1e-12
+    )
+    return ValueTable(samples, normalized)

@@ -1,0 +1,254 @@
+"""Array-backed value refinement: the enumeration rows, the per-level sorted
+lookup, transfer assembly by lookup, and the export/read round trip, each
+against the dict- and tuple-based algorithm it replaced."""
+
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
+
+from refinable import (
+    ValueTable,
+    build_transfer_matrix,
+    candidate_points,
+    export_values,
+    lattice_points_in_bound,
+    problem_from_data,
+    read_values,
+    refine_consistency,
+    refine_values,
+)
+from refinable.bounds import best_bound
+from refinable.cascade import IntBox, SampledFunction, refinement_step
+from refinable.errors import DomainTooSmall, EnumerationTooLarge, NoBoundAvailable
+from refinable.pointwise import _ESCAPE_RTOL, _enumeration_halves
+
+from test_kernel_writer import MATRICES, dilations
+
+# enumeration boxes above this many points make an example too slow
+_VOLUME_LIMIT = 40_000
+
+
+# ---------------------------------------------------------------------------
+# the dict- and tuple-based references
+# ---------------------------------------------------------------------------
+
+def reference_refine(problem, level0, levels):
+    """Refinement with every level rebuilt as a dict keyed by index tuples."""
+    points = candidate_points(problem)
+    point_set = set(points)
+    for key in level0:
+        if tuple(key) not in point_set:
+            raise DomainTooSmall("seed outside the candidate set")
+    bound = best_bound(problem)
+    seed = {p: 0.0 for p in points}
+    seed.update({tuple(k): float(v) for k, v in level0.items()})
+    table = {0: seed}
+    indices = np.asarray(points, dtype=np.int64)
+    values = np.asarray([seed[p] for p in points])
+    for level in range(1, levels + 1):
+        indices, values = refinement_step(problem, indices, values, level)
+        coords = indices.astype(float) @ problem.matrix.inverse_power_array(level).T
+        inside = bound.contains_many(coords)
+        escaped = np.abs(values[~inside])
+        floor = _ESCAPE_RTOL * max(1.0, float(np.abs(values).max(initial=0.0)))
+        if escaped.size and float(escaped.max()) > floor:
+            raise DomainTooSmall("escaped")
+        stored = {
+            tuple(int(x) for x in idx): float(v)
+            for idx, v in zip(indices[inside], values[inside])
+        }
+        targets = [
+            tuple(row) for row in lattice_points_in_bound(problem, bound, level).tolist()
+        ]
+        level_values = {p: stored.get(p, 0.0) for p in targets}
+        table[level] = level_values
+        indices = np.asarray(targets, dtype=np.int64)
+        values = np.asarray([level_values[p] for p in targets])
+    return table
+
+
+def reference_consistency(problem, table):
+    """max |phi_j(M k) - phi_(j-1)(k)| by a per-index dict lookup."""
+    worst = 0.0
+    for level in range(1, max(table) + 1):
+        for idx, value in table[level - 1].items():
+            upper = table[level].get(problem.matrix.matrix.apply(idx))
+            if upper is not None:
+                worst = max(worst, abs(upper - value))
+    return worst
+
+
+def reference_transfer(problem, points):
+    """The O(N^2) assembly: one mask lookup per (row, column) pair."""
+    m = float(problem.m)
+    coeffs = problem.mask.coefficients
+    n = len(points)
+    matrix = np.zeros((n, n))
+    for i, ki in enumerate(points):
+        mki = problem.matrix.matrix.apply(ki)
+        for j, kj in enumerate(points):
+            c = coeffs.get(tuple(a - b for a, b in zip(mki, kj)))
+            if c is not None:
+                matrix[i, j] = m * c
+    return matrix
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def same_levels(got, expected):
+    """Equal keys in equal order and bit-equal values, -0.0 included."""
+    assert list(got) == list(expected)
+    for level in expected:
+        assert list(got[level]) == list(expected[level])
+        assert np.array_equal(
+            bits(list(got[level].values())), bits(list(expected[level].values()))
+        )
+
+
+# ---------------------------------------------------------------------------
+# random problems with small enumerations
+# ---------------------------------------------------------------------------
+
+@st.composite
+def refine_cases(draw):
+    d, rows = draw(dilations())
+    vector = st.tuples(*[st.integers(-2, 2)] * d)
+    taps = draw(st.lists(vector, min_size=1, max_size=4, unique=True))
+    nums = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=len(taps) - 1,
+                         max_size=len(taps) - 1))
+    nums.append(8 - sum(nums))
+    assume(nums[-1] != 0)
+    records = [{"q": list(q), "c": f"{n}/8"} for q, n in zip(taps, nums)]
+    problem = problem_from_data(d, rows, records)
+    levels = draw(st.integers(1, 2))
+    try:
+        points = candidate_points(problem)
+        bound = best_bound(problem)
+        volumes = [
+            math.prod(2 * h + 1 for h in _enumeration_halves(problem, bound, level))
+            for level in range(1, levels + 1)
+        ]
+    except (NoBoundAvailable, EnumerationTooLarge):
+        assume(False)
+    assume(len(points) <= 200 and max(volumes) <= _VOLUME_LIMIT)
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, -0.25]),
+        st.floats(-4, 4, allow_nan=False),
+    )
+    chosen = draw(st.lists(st.sampled_from(points), min_size=1, max_size=6, unique=True))
+    seed = {p: draw(value) for p in chosen}
+    return problem, seed, levels
+
+
+_PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+@_PROPERTY
+@given(refine_cases())
+def test_refine_matches_dict_reference(case):
+    problem, seed, levels = case
+    try:
+        expected = reference_refine(problem, seed, levels)
+    except DomainTooSmall:
+        event("escaped the bound")
+        with pytest.raises(DomainTooSmall):
+            refine_values(problem, seed, levels)
+        return
+    table = refine_values(problem, seed, levels)
+    same_levels(table.levels, expected)
+    for level, sampled in table.samples.items():
+        assert sampled.level == level
+        assert sampled.indices.dtype == np.int64
+    assert refine_consistency(problem, table) == reference_consistency(problem, expected)
+
+
+@_PROPERTY
+@given(refine_cases(), st.randoms(use_true_random=False))
+def test_transfer_matches_quadratic_reference(case, rnd):
+    problem = case[0]
+    points = list(candidate_points(problem))
+    rnd.shuffle(points)
+    transfer = build_transfer_matrix(problem, points)
+    assert transfer.points == tuple(points)
+    assert np.array_equal(bits(transfer.matrix), bits(reference_transfer(problem, points)))
+
+
+@_PROPERTY
+@given(refine_cases())
+def test_enumeration_rows_sorted_and_distinct(case):
+    problem, _, levels = case
+    bound = best_bound(problem)
+    for level in range(levels + 1):
+        rows = lattice_points_in_bound(problem, bound, level)
+        assert rows.dtype == np.int64 and rows.ndim == 2 and rows.shape[1] == problem.dim
+        as_tuples = list(map(tuple, rows.tolist()))
+        assert as_tuples == sorted(set(as_tuples))
+        coords = rows.astype(float) @ problem.matrix.inverse_power_array(level).T
+        assert bool(np.all(bound.contains_many(coords)))
+        if level == 0:
+            assert candidate_points(problem) == tuple(as_tuples)
+
+
+def test_transfer_rejects_empty_points(haar_problem):
+    # repeated points are covered in test_pointwise
+    with pytest.raises(ValueError, match="nonempty"):
+        build_transfer_matrix(haar_problem, [])
+
+
+# ---------------------------------------------------------------------------
+# export and read
+# ---------------------------------------------------------------------------
+
+def sampled(level, rows, values, d):
+    indices = np.asarray(rows, dtype=np.int64).reshape(len(rows), d)
+    return SampledFunction(level, indices, np.asarray(values, dtype=float), IntBox.hull(indices))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_export_read_round_trip(d):
+    matrix_problem = problem_from_data(
+        d, [list(row) for row in MATRICES[d].matrix.rows], [{"q": [0] * d, "c": "1/1"}]
+    )
+    rng = np.random.default_rng(d)
+    full = sorted({tuple(row) for row in rng.integers(-40, 40, size=(30, d)).tolist()})
+    edge = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, 1 / 3]
+    values = edge + rng.standard_normal(len(full) - len(edge)).tolist()
+    table = ValueTable(
+        {
+            0: sampled(0, [(0,) * d], [1.0], d),
+            1: sampled(1, [], [], d),
+            3: sampled(3, full, values, d),
+        },
+        True,
+    )
+    buffer = io.StringIO()
+    export_values(matrix_problem, table, buffer)
+    buffer.seek(0)
+    again = read_values(buffer)
+    # a level without rows leaves nothing in the file to read back
+    assert sorted(again.samples) == [0, 3]
+    same_levels(again.levels, {j: table.levels[j] for j in (0, 3)})
+    assert again.normalized
+    for j in (0, 3):
+        assert np.array_equal(again.samples[j].indices, table.samples[j].indices)
+
+
+def test_read_sorts_rows_and_rejects_repeats():
+    header = "level\tk0\tk1\tx0\tx1\tvalue\n"
+    rows = ["2\t1\t0\t0.0\t0.0\t0.5", "2\t-1\t3\t0.0\t0.0\t0.25", "2\t1\t-2\t0.0\t0.0\t-0.0"]
+    table = read_values(io.StringIO(header + "\n".join(rows) + "\n"))
+    assert table.samples[2].indices.tolist() == [[-1, 3], [1, -2], [1, 0]]
+    assert bits(table.samples[2].values).tolist() == bits([0.25, -0.0, 0.5]).tolist()
+    assert not table.normalized
+    with pytest.raises(ValueError, match="repeats"):
+        read_values(io.StringIO(header + rows[0] + "\n" + rows[0] + "\n"))
