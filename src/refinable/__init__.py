@@ -50,6 +50,7 @@ from .linalg import (
     JordanStructure,
     RationalMatrix,
     Spectrum,
+    adjugate,
     characteristic_polynomial,
     determinant,
     eigenvalues,
@@ -85,6 +86,7 @@ from .pointwise import (
     read_values,
     refine_consistency,
     refine_values,
+    transfer_matrix,
 )
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .errors import (
     NotDilationEigenvalue,
 )
 from .linalg import operator_norm
-from .mask import Problem
+from .mask import Problem, per_problem
 
 CONTRACTION_SEARCH_CAP = 64
 EQUAL_TWO_TOL = 1e-12
@@ -142,12 +142,14 @@ def finite_level_ball(problem: Problem, initial_radius: float, level: int) -> fl
     return power * initial_radius + problem.mask.radius * geometric
 
 
+@per_problem
 def general_ball_bound(problem: Problem) -> Ball:
     """Ball bound valid for every dilation matrix.
 
     Iterating the one-step support recursion in blocks of k steps gives the
     radius Q (||M^-1|| + ... + ||M^-k||) / (1 - ||M^-k||) for the smallest k
     with ||M^-k|| < 1; for k = 1 this is exactly the norm-ball radius.
+    Computed once per problem.
     """
     norms: list[float] = []
     for k in range(1, CONTRACTION_SEARCH_CAP + 1):
@@ -304,9 +306,11 @@ def enclosing_integer_box(bound: SupportBound) -> Box:
     return Box(halves, f"integer box of [{bound.provenance}]")
 
 
+@per_problem
 def best_bound(problem: Problem) -> SupportBound:
     """The preferred available bound: norm ball when contractive, otherwise
-    the Jordan parallelepiped, otherwise the iterated-norm ball."""
+    the Jordan parallelepiped, otherwise the iterated-norm ball.  Selected
+    once per problem."""
     try:
         return ball_bound(problem)
     except NormNotContractive:

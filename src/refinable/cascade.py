@@ -22,7 +22,12 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainTooSmall, IndexOverflow, NormNotContractive
+from .errors import (
+    DomainTooSmall,
+    IndexOverflow,
+    NonFiniteArithmetic,
+    NormNotContractive,
+)
 from .linalg import DilationMatrix, RationalMatrix, inverse
 from .mask import Mask, Problem
 from .bounds import finite_level_ball
@@ -200,6 +205,8 @@ def refinement_step(
     scaled = np.concatenate([values * (m * coeff) for _, coeff in taps])
     unique, inv = np.unique(keys, return_inverse=True)
     sums = np.bincount(inv, weights=scaled, minlength=len(unique))
+    if not np.all(np.isfinite(sums)):
+        raise NonFiniteArithmetic(f"level-{step} values overflow to inf or NaN")
     out = np.empty((len(unique), d), dtype=np.int64)
     rest = unique
     for i in range(d):

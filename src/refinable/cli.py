@@ -17,6 +17,7 @@ stderr.  Output is deterministic: identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -102,9 +103,9 @@ def _emit(data: dict, table_lines: list[str], output_format: str) -> None:
         print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _bound_lines(problem: Problem) -> list[str]:
+def _bound_lines(problem: Problem, applicable: list) -> list[str]:
     lines = []
-    for bound in bounds_mod.applicable_bounds(problem):
+    for bound in applicable:
         if isinstance(bound, bounds_mod.Ball):
             lines.append(f"{bound.provenance}: radius {_fmt(bound.radius)}")
         elif isinstance(bound, bounds_mod.Box):
@@ -204,13 +205,14 @@ def _cmd_bound(args) -> int:
     problem = _load_problem(args.problem)
     best = bounds_mod.best_bound(problem)
     box = bounds_mod.enclosing_integer_box(best)
+    applicable = bounds_mod.applicable_bounds(problem)
     data = {
-        "bounds": [_bound_record(b) for b in bounds_mod.applicable_bounds(problem)],
+        "bounds": [_bound_record(b) for b in applicable],
         "selected": best.provenance,
         "integer_box_half_widths": [int(h) for h in box.half_widths],
     }
     widths = ", ".join(str(int(h)) for h in box.half_widths)
-    lines = _bound_lines(problem) + [
+    lines = _bound_lines(problem, applicable) + [
         f"selected: {best.provenance}",
         f"integer-box: half-widths ({widths})",
     ]
@@ -251,8 +253,7 @@ def _cmd_cascade(args) -> int:
 
 
 def _resolve_values(problem: Problem, left_closed: bool):
-    points = pointwise_mod.candidate_points(problem)
-    transfer = pointwise_mod.build_transfer_matrix(problem, points)
+    transfer = pointwise_mod.transfer_matrix(problem)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = pointwise_mod.integer_values(transfer)
@@ -386,8 +387,7 @@ def _cmd_check(args) -> int:
         )
         report("cascade-containment", ok)
 
-    points = pointwise_mod.candidate_points(problem)
-    transfer = pointwise_mod.build_transfer_matrix(problem, points)
+    transfer = pointwise_mod.transfer_matrix(problem)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -407,7 +407,7 @@ def _cmd_check(args) -> int:
         table = pointwise_mod.refine_values(problem, result.values, args.levels)
         worst = pointwise_mod.refine_consistency(problem, table)
         report("refine-consistency", worst <= 1e-12, f"max deviation {worst:.3g}")
-        probes = [tuple(float(x) for x in p) for p in points]
+        probes = [tuple(float(x) for x in p) for p in transfer.points]
         deviations = pointwise_mod.periodization_check(problem, table, 0, probes)
         worst_dev = max(d for _, _, d in deviations)
         report("partition-of-unity", worst_dev <= 1e-8, f"max deviation {worst_dev:.3g}")
@@ -475,9 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call and reused: parsing keeps no state in the parser,
+# and building it costs more than many a subcommand.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

@@ -102,6 +102,12 @@ class IndexOverflow(RefinableError):
     """Lattice indices at the requested level would not fit in int64."""
 
 
+class NonFiniteArithmetic(RefinableError):
+    """A floating-point result overflowed to inf or NaN (huge mask
+    coefficients can do this to the transfer matrix or to a refinement
+    level), or numpy's linear algebra failed on such values."""
+
+
 # --- warnings ----------------------------------------------------------------
 
 class NonUniqueWarning(UserWarning):

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     ComplexSpectrum,
     IllConditionedTransform,
+    IndexOverflow,
     RootFindingFailure,
     SingularMatrix,
 )
@@ -123,10 +124,6 @@ class RationalMatrix:
             )
         )
 
-    def apply(self, vector: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        vec = [Fraction(v) for v in vector]
-        return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.rows)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -209,6 +206,26 @@ def determinant(matrix: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def adjugate(matrix: IntMatrix) -> IntMatrix:
+    """Exact adjugate adj(M) = det(M) M^-1, from cofactors; it exists for
+    singular matrices too."""
+    n = matrix.dim
+    if n == 1:
+        return IntMatrix(((1,),))
+
+    def minor(i: int, j: int) -> IntMatrix:
+        return IntMatrix(tuple(
+            tuple(x for c, x in enumerate(row) if c != j)
+            for r, row in enumerate(matrix.rows) if r != i
+        ))
+
+    # adj(M)[i][j] is the (j, i) cofactor
+    return IntMatrix(tuple(
+        tuple((-1) ** (i + j) * determinant(minor(j, i)) for j in range(n))
+        for i in range(n)
+    ))
 
 
 def inverse(matrix: IntMatrix) -> RationalMatrix:
@@ -500,9 +517,10 @@ def eigenvalues(matrix: IntMatrix) -> Spectrum:
 def is_dilation(matrix: IntMatrix) -> DilationCheck:
     """True iff the matrix is invertible and every eigenvalue modulus
     exceeds one (with a small classification tolerance)."""
-    if determinant(matrix) == 0:
-        return DilationCheck(False, (), "determinant is zero")
-    spec = eigenvalues(matrix)
+    return DilationMatrix(matrix).dilation_check
+
+
+def _spectrum_verdict(spec: Spectrum) -> DilationCheck:
     offending = tuple(
         z for z in spec.eigenvalues if abs(z) <= 1.0 + DILATION_TOL
     )
@@ -552,7 +570,10 @@ def real_jordan_structure(matrix: IntMatrix) -> JordanStructure:
     a block of size s is v, Nv, ..., N^(s-1)v with N = M - lambda I, which
     matches a Jordan matrix carrying ones on the subdiagonal.
     """
-    spec = eigenvalues(matrix)
+    return DilationMatrix(matrix).jordan_structure
+
+
+def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure:
     if not spec.all_real:
         raise ComplexSpectrum(
             "matrix has complex eigenvalues; no real Jordan form"
@@ -654,6 +675,9 @@ def real_jordan_structure(matrix: IntMatrix) -> JordanStructure:
             f"transform condition number exceeds {CONDITION_LIMIT:g}"
         )
     transform_inverse = np.linalg.inv(transform)
+    # shared through DilationMatrix.jordan_structure and the bounds built on it
+    transform.flags.writeable = False
+    transform_inverse.flags.writeable = False
     structure = JordanStructure(tuple(blocks), transform, transform_inverse)
     recon = transform @ structure.jordan_matrix() @ transform_inverse
     residual = np.max(np.abs(recon - a))
@@ -711,12 +735,21 @@ class DilationMatrix:
         return operator_norm(self.inverse)
 
     @cached_property
+    def adjugate(self) -> IntMatrix:
+        return adjugate(self.matrix)
+
+    # The dilation test and the Jordan form both read the one cached
+    # spectrum.  A complex spectrum is not cached as an error, but it raises
+    # from ``spectrum.all_real`` without new work.
+    @cached_property
     def dilation_check(self) -> DilationCheck:
-        return is_dilation(self.matrix)
+        if self.determinant == 0:
+            return DilationCheck(False, (), "determinant is zero")
+        return _spectrum_verdict(self.spectrum)
 
     @cached_property
     def jordan_structure(self) -> JordanStructure:
-        return real_jordan_structure(self.matrix)
+        return _real_jordan_structure(self.matrix, self.spectrum)
 
     # Powers are memoized per exponent: the cascade, the refinement, the
     # enumeration and the writers all ask for the same few levels.
@@ -755,3 +788,21 @@ class DilationMatrix:
             array.flags.writeable = False
             self._inverse_arrays[n] = array
         return self._inverse_arrays[n]
+
+    def residues(self, n: int, indices: np.ndarray) -> np.ndarray:
+        """Residue classes of the integer rows ``indices`` modulo M^n Z^d.
+
+        M^-n = adj(M)^n / det^n, so v lies in M^n Z^d exactly when
+        adj(M)^n v = 0 (mod |det|^n).  The rows of adj(M)^n v mod |det|^n
+        are returned as int64; two indices are congruent exactly when their
+        rows are equal.  At n = 0 every row is zero.
+        """
+        modulus = self.m**n
+        if modulus >= 2**63:
+            raise IndexOverflow(f"residues modulo {self.m}^{n} do not fit in int64")
+        adj = [[x % modulus for x in row] for row in integer_power(self.adjugate, n).rows]
+        vectors = np.asarray(indices, dtype=np.int64).reshape(-1, self.dim) % modulus
+        # with both factors reduced, a dot product stays below d (modulus - 1)^2
+        dtype = np.int64 if self.dim * (modulus - 1) ** 2 < 2**63 else object
+        images = vectors.astype(dtype) @ np.asarray(adj, dtype=dtype).T
+        return (images % modulus).astype(np.int64)

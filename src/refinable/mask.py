@@ -17,6 +17,7 @@ anywhere in the document are rejected.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -25,9 +26,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
+import numpy as np
+
 from .errors import (
     DimensionMismatch,
     EmptyMask,
+    IndexOverflow,
     MaskSumViolation,
     NotDilation,
     ParseError,
@@ -106,6 +110,30 @@ class Problem:
     @property
     def m(self) -> int:
         return self.matrix.m
+
+    # Artefacts of the analysis that depend on nothing but the problem (the
+    # selected bound, the candidate points, the transfer matrix), kept by
+    # :func:`per_problem` so that one call computes each of them once.
+    @cached_property
+    def _artefacts(self) -> dict:
+        return {}
+
+
+def per_problem(func):
+    """Decorate ``func(problem)`` so that it runs once per Problem instance
+    and later calls return the same object.  Errors are raised again on
+    every call, never kept.  Only immutable results (tuples, frozen
+    dataclasses, read-only arrays) may be kept this way, since every caller
+    of the problem shares them."""
+
+    @functools.wraps(func)
+    def memoized(problem: Problem):
+        artefacts = problem._artefacts
+        if func not in artefacts:
+            artefacts[func] = func(problem)
+        return artefacts[func]
+
+    return memoized
 
 
 def mask_radius(mask: Mask) -> float:
@@ -258,27 +286,35 @@ class CosetSums:
     uniform: bool
 
 
-def _coset_representatives(matrix: DilationMatrix) -> list[tuple[int, ...]]:
-    """The integer points of M [0,1)^d: exactly m class representatives."""
+# points of the representative box tested per array operation
+_SCAN_CHUNK = 1 << 16
+
+
+def _coset_representatives(matrix: DilationMatrix) -> np.ndarray:
+    """The integer points of M [0,1)^d, exactly m class representatives, as
+    lexicographically sorted int64 rows.
+
+    p = M t lies in M [0,1)^d iff t = s adj(M) p / m lies in [0,1)^d, with
+    s the sign of det M; so the test is 0 <= s adj(M) p < m in integers.
+    """
     d = matrix.dim
     rows = matrix.matrix.rows
     lo = [sum(min(rows[i][j], 0) for j in range(d)) for i in range(d)]
     hi = [sum(max(rows[i][j], 0) for j in range(d)) for i in range(d)]
-    inv = matrix.inverse
-    reps = []
-
-    def scan(prefix: list[int]) -> None:
-        if len(prefix) == d:
-            preimage = inv.apply(prefix)
-            if all(0 <= x < 1 for x in preimage):
-                reps.append(tuple(prefix))
-            return
-        i = len(prefix)
-        for value in range(lo[i], hi[i] + 1):
-            scan(prefix + [value])
-
-    scan([])
-    reps.sort()
+    shape = tuple(b - a + 1 for a, b in zip(lo, hi))
+    volume = math.prod(shape)
+    # |s adj(M) p| <= d * volume on the box, so int64 cannot wrap below this
+    if d * volume >= 2**63:
+        raise IndexOverflow("residue representative box does not fit in int64")
+    sign = 1 if matrix.determinant > 0 else -1
+    scaled = np.asarray(matrix.adjugate.rows, dtype=np.int64).T * sign
+    found = []
+    for start in range(0, volume, _SCAN_CHUNK):
+        flat = np.arange(start, min(start + _SCAN_CHUNK, volume), dtype=np.int64)
+        points = np.stack(np.unravel_index(flat, shape), axis=1) + np.asarray(lo)
+        images = points @ scaled
+        found.append(points[np.all((images >= 0) & (images < matrix.m), axis=1)])
+    reps = np.concatenate(found)
     if len(reps) != matrix.m:
         raise ArithmeticError(
             f"found {len(reps)} residue representatives, expected {matrix.m}"
@@ -289,21 +325,27 @@ def _coset_representatives(matrix: DilationMatrix) -> list[tuple[int, ...]]:
 def coset_sum_report(problem: Problem) -> CosetSums:
     """Per-residue-class coefficient sums, decided in exact arithmetic.
 
-    Two indices are congruent iff M^-1 (q - q') is integral; the test is an
-    exact rational solve, so no digit-set enumeration is involved.
+    Two indices are congruent iff adj(M) (q - q') = 0 (mod m), an integer
+    test on residue rows (:meth:`DilationMatrix.residues`), so no digit-set
+    enumeration is involved.  Each class adds its coefficients in sorted
+    index order.
     """
-    reps = _coset_representatives(problem.matrix)
-    inv = problem.matrix.inverse
-    sums = [0.0] * len(reps)
-    for q, value in problem.mask.items_sorted():
-        for i, rep in enumerate(reps):
-            delta = [a - b for a, b in zip(q, rep)]
-            preimage = inv.apply(delta)
-            if all(x.denominator == 1 for x in preimage):
-                sums[i] += value
-                break
-        else:
-            raise ArithmeticError(f"index {q} matched no residue class")
+    matrix = problem.matrix
+    reps = _coset_representatives(matrix)
+    classes = {
+        key: i for i, key in enumerate(map(tuple, matrix.residues(1, reps).tolist()))
+    }
+    taps = problem.mask.items_sorted()
+    # q = q mod m (mod M Z^d), since m Z^d lies in M Z^d; this keeps every
+    # index, however large, inside int64
+    reduced = [[x % matrix.m for x in q] for q, _ in taps]
+    tap_keys = matrix.residues(1, np.asarray(reduced, dtype=np.int64))
+    try:
+        which = [classes[key] for key in map(tuple, tap_keys.tolist())]
+    except KeyError as exc:
+        raise ArithmeticError(f"an index matched no residue class: {exc}") from exc
+    # bincount adds each class's weights in input order, starting from 0.0
+    sums = np.bincount(which, weights=[c for _, c in taps], minlength=len(reps))
     target = 1.0 / problem.m
-    uniform = all(abs(s - target) <= COSET_UNIFORM_TOL for s in sums)
-    return CosetSums(tuple(reps), tuple(sums), uniform)
+    uniform = all(abs(s - target) <= COSET_UNIFORM_TOL for s in sums.tolist())
+    return CosetSums(tuple(map(tuple, reps.tolist())), tuple(sums.tolist()), uniform)

@@ -10,6 +10,7 @@ module uses, level by level.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,11 +34,12 @@ from .errors import (
     EnumerationTooLarge,
     IndexOverflow,
     NoBoundAvailable,
+    NonFiniteArithmetic,
     NonUniqueWarning,
     NormalizationImpossible,
     NoUnitEigenvalue,
 )
-from .mask import Problem
+from .mask import Problem, per_problem
 
 UNIT_EIGENVALUE_TOL = 1e-9
 STRUCTURAL_ZERO_TOL = 1e-10
@@ -49,9 +51,10 @@ _ESCAPE_RTOL = 1e-9
 # candidate points and the transfer matrix
 # ---------------------------------------------------------------------------
 
+@per_problem
 def candidate_points(problem: Problem) -> tuple[tuple[int, ...], ...]:
     """All integer points inside the best available support bound, in
-    lexicographic order."""
+    lexicographic order; enumerated once per problem."""
     try:
         bound = best_bound(problem)
     except ContractionSearchExhausted as exc:
@@ -141,25 +144,41 @@ def build_transfer_matrix(
 ) -> TransferMatrix:
     """Assemble the transfer matrix by exact integer index arithmetic: row i
     holds m c_q at the column of M k_i - q for every mask tap q whose point
-    is a candidate, so the cost is O(N |mask|).  Each entry gets at most one
-    tap, since q = M k_i - k_j is fixed by (i, j)."""
+    is a candidate, one array lookup per tap, so the cost is O(N |mask|) up
+    to a sort.  Each entry gets at most one tap, since q = M k_i - k_j is
+    fixed by (i, j)."""
     pts = tuple(tuple(int(x) for x in p) for p in points)
     if not pts:
         raise ValueError("points must be nonempty")
-    column = {p: j for j, p in enumerate(pts)}
-    if len(column) != len(pts):
-        raise ValueError("points must be distinct")
+    n, d = len(pts), problem.dim
     m = float(problem.m)
-    taps = problem.mask.items_sorted()
-    n = len(pts)
+    taps = [(q, m * c) for q, c in problem.mask.items_sorted()]
+    for q, w in taps:
+        if not math.isfinite(w):
+            raise NonFiniteArithmetic(f"transfer entry m c_q overflows at q = {list(q)}")
+    rows = problem.matrix.matrix.rows
+    reach = max(map(abs, itertools.chain(*pts))) * max(sum(map(abs, r)) for r in rows)
+    if reach + max(abs(x) for q, _ in taps for x in q) >= 2**62:
+        raise IndexOverflow("images M k of the points do not fit in int64")
+    ks = np.asarray(pts, dtype=np.int64).reshape(n, d)
+    order = np.lexsort(ks.T[::-1])
+    ordered = ks[order]
+    if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
+        raise ValueError("points must be distinct")
+    images = ks @ np.asarray(rows, dtype=np.int64).T
     matrix = np.zeros((n, n))
-    for i, ki in enumerate(pts):
-        mki = problem.matrix.matrix.apply(ki)
-        for q, c in taps:
-            j = column.get(tuple(a - b for a, b in zip(mki, q)))
-            if j is not None:
-                matrix[i, j] = m * c
+    for q, w in taps:
+        pos, found = _locate(ordered, images - np.asarray(q, dtype=np.int64))
+        matrix[np.flatnonzero(found), order[pos[found]]] = w
+    matrix.flags.writeable = False
     return TransferMatrix(pts, matrix)
+
+
+@per_problem
+def transfer_matrix(problem: Problem) -> TransferMatrix:
+    """The transfer matrix over :func:`candidate_points`, assembled once per
+    problem; its array is read-only."""
+    return build_transfer_matrix(problem, candidate_points(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +225,16 @@ def integer_values(
     """
     b = transfer.matrix
     n = transfer.size
-    eigs = np.linalg.eigvals(b)
-    if not np.any(np.abs(eigs - 1.0) <= unit_tol):
-        nearest = eigs[np.argmin(np.abs(eigs - 1.0))]
-        raise NoUnitEigenvalue(
-            f"no eigenvalue within {unit_tol:g} of 1 (nearest: {nearest:.6g})"
-        )
-    shifted = b - np.eye(n)
-    _, sing, vt = np.linalg.svd(shifted)
+    try:
+        eigs = np.linalg.eigvals(b)
+        if not np.any(np.abs(eigs - 1.0) <= unit_tol):
+            nearest = eigs[np.argmin(np.abs(eigs - 1.0))]
+            raise NoUnitEigenvalue(
+                f"no eigenvalue within {unit_tol:g} of 1 (nearest: {nearest:.6g})"
+            )
+        _, sing, vt = np.linalg.svd(b - np.eye(n))
+    except np.linalg.LinAlgError as exc:
+        raise NonFiniteArithmetic(f"transfer eigensolve failed: {exc}") from exc
     null_tol = unit_tol * max(1.0, float(sing[0]))
     dimension = int(np.sum(sing <= null_tol))
     if dimension == 0:
@@ -256,7 +277,7 @@ def converged_integer_values(
     half-open box indicator produces, which is the usual tie-break.
     """
     points = candidate_points(problem)
-    transfer = build_transfer_matrix(problem, points)
+    transfer = transfer_matrix(problem)
     vec = np.zeros(len(points))
     vec[points.index((0,) * problem.dim)] = 1.0
     acc = np.zeros_like(vec)
@@ -267,6 +288,8 @@ def converged_integer_values(
             acc += vec
     # averaging the tail tolerates slowly rotating transient components
     vec = acc / tail
+    if not np.all(np.isfinite(vec)):
+        raise NonFiniteArithmetic("the transfer iteration overflowed")
     return {p: float(v) for p, v in zip(points, vec)}
 
 
@@ -372,31 +395,36 @@ def periodization_check(
     probes: Sequence[Sequence[float]],
 ) -> tuple[tuple[tuple[float, ...], float, float], ...]:
     """For each probe x on the level-j lattice, sum the stored values over
-    the integer translates x + k and report (probe, total, |total - 1|)."""
+    the integer translates x + k and report (probe, total, |total - 1|).
+
+    A stored index k' samples x + k exactly when k' = M^j x (mod M^j Z^d),
+    so the stored values are grouped by residue class
+    (:meth:`DilationMatrix.residues`) and each class adds its values in
+    stored order.  At level 0 every stored value counts.
+    """
     if level not in table.samples:
         raise ValueError(f"table has no level {level}")
     stored = table.samples[level]
-    power = problem.matrix.power(level)
-    inv_power = problem.matrix.inverse_power(level) if level else None
-    results = []
-    for probe in probes:
-        x = tuple(float(v) for v in probe)
-        kx_float = np.asarray(power.as_array() @ np.asarray(x))
-        kx = tuple(int(round(v)) for v in kx_float)
-        if np.max(np.abs(kx_float - np.asarray(kx, dtype=float))) > 1e-6:
-            raise ValueError(f"probe {x} is not on the level-{level} lattice")
-        total = 0.0
-        for idx, value in zip(stored.indices.tolist(), stored.values.tolist()):
-            delta = [a - b for a, b in zip(idx, kx)]
-            if level == 0:
-                integral = True
-            else:
-                image = inv_power.apply(delta)
-                integral = all(f.denominator == 1 for f in image)
-            if integral:
-                total += value
-        results.append((x, total, abs(total - 1.0)))
-    return tuple(results)
+    x = np.asarray(probes, dtype=float).reshape(-1, problem.dim)
+    kx_float = x @ problem.matrix.power(level).as_array().T
+    kx = np.round(kx_float)
+    off = np.max(np.abs(kx_float - kx), axis=1, initial=0.0) > 1e-6
+    if off.any():
+        probe = tuple(x[int(np.argmax(off))].tolist())
+        raise ValueError(f"probe {probe} is not on the level-{level} lattice")
+    if np.any(np.abs(kx) >= 2.0**62):
+        raise IndexOverflow(f"level-{level} probe indices do not fit in int64")
+    keys = problem.matrix.residues(
+        level, np.concatenate([stored.indices, kx.astype(np.int64)])
+    )
+    classes, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    n = len(stored.indices)
+    # bincount adds each class's values in stored order, starting from 0.0
+    sums = np.bincount(inverse[:n], weights=stored.values, minlength=len(classes))
+    totals = sums[inverse[n:]].tolist()
+    probes = map(tuple, x.tolist())
+    return tuple((probe, total, abs(total - 1.0)) for probe, total in zip(probes, totals))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
 """End-to-end tests of the command-line interface via subprocesses."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import D4_COEFFS
+
+# the package under test, also when it is not installed
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENV = dict(os.environ)
+ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def write_doc(tmp_path, name, dimension, matrix, coefficients):
@@ -50,6 +57,7 @@ def run_cli(*args):
         [sys.executable, "-m", "refinable", *map(str, args)],
         capture_output=True,
         text=True,
+        env=ENV,
     )
 
 
@@ -205,3 +213,30 @@ class TestErrorPaths:
         result = run_cli("values", doc)
         assert result.returncode == 3
         assert "error: NoUnitEigenvalue:" in result.stderr
+
+
+class TestNonFiniteArithmetic:
+    """m c_q overflows to inf for the mask {0: 1e308, 1: -1e308, 2: 1},
+    although it sums to one."""
+
+    @pytest.fixture()
+    def huge_doc(self, tmp_path):
+        return write_doc(
+            tmp_path, "huge", 1, [[2]],
+            [{"q": [0], "c": 1e308}, {"q": [1], "c": -1e308}, {"q": [2], "c": 1}],
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [["values"], ["refine", "--left-closed"], ["cascade"], ["check"]],
+        ids=lambda a: a[0],
+    )
+    def test_exit_three_with_one_error_line(self, args, huge_doc, tmp_path):
+        argv = args[:1] + [huge_doc] + args[1:]
+        if args[0] in ("refine", "cascade"):
+            argv += ["--outdir", tmp_path / "out"]
+        result = run_cli(*argv)
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: NonFiniteArithmetic: ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
