@@ -4,14 +4,13 @@
 The interesting case is [[0, 1], [3, 1]]: a perfectly good dilation matrix
 (both eigenvalue moduli above one) whose inverse nevertheless EXPANDS some
 vectors, because the operator norm of the inverse is above one.  Exact
-rational powers show how contraction only sets in at the second power.
+inverse powers M^-n = adj(M)^n / det(M)^n, kept as integer pairs, show how
+contraction only sets in at the second power.
 """
 
-from refinable import (
-    DilationMatrix,
-    power_inverse_norm,
-    rational_inverse_power,
-)
+from fractions import Fraction
+
+from refinable import DilationMatrix, operator_norm
 
 MATRICES = {
     "doubling  [[2,0],[0,2]]": [[2, 0], [0, 2]],
@@ -46,9 +45,9 @@ def main() -> None:
     print("Exact inverse powers of the skewed matrix:")
     skewed = DilationMatrix.from_rows([[0, 1], [3, 1]])
     for n in range(1, 7):
-        exact = rational_inverse_power(skewed.matrix, n)
-        sample = exact.rows[0][0]
-        print(f"   ||M^-{n}|| = {power_inverse_norm(skewed.matrix, n):.8f}"
+        adj, det = skewed.inverse_power(n)
+        sample = Fraction(adj.rows[0][0], det)
+        print(f"   ||M^-{n}|| = {operator_norm(adj, det):.8f}"
               f"   (entry [0,0] is exactly {sample})")
     print("\nThe norms pass below one at n = 2: the inverse contracts only")
     print("asymptotically, which is why the general support bound iterates")

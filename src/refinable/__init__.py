@@ -38,7 +38,6 @@ from .cascade import (
     initial_samples,
     initial_support_radius,
     m0_eval,
-    read_rows,
     refinement_step,
     run_cascade,
     write_samples,
@@ -48,18 +47,14 @@ from .linalg import (
     DilationMatrix,
     IntMatrix,
     JordanStructure,
-    RationalMatrix,
     Spectrum,
     adjugate,
     characteristic_polynomial,
     determinant,
     eigenvalues,
     integer_power,
-    inverse,
     is_dilation,
     operator_norm,
-    power_inverse_norm,
-    rational_inverse_power,
     real_jordan_structure,
 )
 from .mask import (

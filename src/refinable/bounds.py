@@ -156,7 +156,7 @@ def general_ball_bound(problem: Problem) -> Ball:
         if k == 1:
             norms.append(problem.matrix.inverse_norm)
         else:
-            norms.append(operator_norm(problem.matrix.inverse_power(k)))
+            norms.append(operator_norm(*problem.matrix.inverse_power(k)))
         if norms[-1] < 1.0:
             radius = problem.mask.radius * math.fsum(norms) / (1.0 - norms[-1])
             return Ball(radius, problem.dim, f"iterated-norm-ball (k={k})")

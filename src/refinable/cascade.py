@@ -28,7 +28,7 @@ from .errors import (
     NonFiniteArithmetic,
     NormNotContractive,
 )
-from .linalg import DilationMatrix, RationalMatrix, inverse
+from .linalg import DilationMatrix
 from .mask import Mask, Problem
 from .bounds import finite_level_ball
 
@@ -350,19 +350,17 @@ def fourier_truncated_product(
     problem: Problem, u: Sequence[float], terms: int
 ) -> complex:
     """Truncation prod_{j=1..terms} m0((M^T)^-j u) of the infinite product
-    defining the Fourier transform of the limit function; the matrix powers
-    are exact rationals rounded once per factor."""
+    defining the Fourier transform of the limit function; (M^T)^-j is the
+    transpose of the exact M^-j, rounded once per entry."""
     if terms < 1:
         raise ValueError("terms must be positive")
     uvec = np.asarray([float(x) for x in u])
-    inv_t = inverse(problem.matrix.matrix.transpose())
-    acc_power: RationalMatrix = inv_t
     result = 1.0 + 0.0j
     for j in range(1, terms + 1):
-        uj = acc_power.as_array() @ uvec
-        result *= m0_eval(problem.mask, uj)
-        if j < terms:
-            acc_power = acc_power.matmul(inv_t)
+        # a C-ordered copy, so the product sums in the order of any other
+        # row-major matrix and not in that of a transposed view
+        inv_t = np.ascontiguousarray(problem.matrix.inverse_power_array(j).T)
+        result *= m0_eval(problem.mask, inv_t @ uvec)
     return result
 
 
@@ -414,24 +412,3 @@ def write_samples(
     """Dump one or more cascade iterates in the shared delimited layout."""
     funcs = sorted(sampled_functions, key=lambda f: f.level)
     write_rows(stream, problem.matrix, ((f.level, f.indices, f.values) for f in funcs))
-
-
-def read_rows(stream: IO[str]) -> list[tuple[int, tuple[int, ...], tuple[float, ...], float]]:
-    """Parse a delimited dump back into (level, index, coords, value) rows."""
-    header = stream.readline().rstrip("\n")
-    fields = header.split("\t")
-    if not fields or fields[0] != "level" or fields[-1] != "value":
-        raise ValueError("missing or malformed header row")
-    dim = (len(fields) - 2) // 2
-    rows = []
-    for line in stream:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        level = int(parts[0])
-        index = tuple(int(x) for x in parts[1 : 1 + dim])
-        coords = tuple(float(x) for x in parts[1 + dim : 1 + 2 * dim])
-        value = float(parts[1 + 2 * dim])
-        rows.append((level, index, coords, value))
-    return rows

@@ -9,7 +9,8 @@ Subcommands::
     refine   PROBLEM [--levels J --left-closed --outdir DIR]
     check    PROBLEM [--iters N --levels J]
 
-Exit codes: 0 success, 1 usage error, 2 invalid input, 3 numerical outcome.
+Exit codes: 0 success, 1 usage error or stdout closed early, 2 invalid
+input, 3 numerical outcome.
 Errors print one machine-parsable line ``error: <Code>: <message>`` on
 stderr.  Output is deterministic: identical inputs give identical bytes.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -483,7 +485,15 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at the null device so
+        # the interpreter's final flush cannot raise again, and end quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except _INPUT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

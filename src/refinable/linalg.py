@@ -1,9 +1,12 @@
 """Exact and floating-point analysis of small integer matrices.
 
-Integer inputs keep the expensive questions cheap: determinants, inverses,
-characteristic polynomials, and matrix powers are computed exactly with
-``int``/``fractions.Fraction`` arithmetic, so the only floating point in the
-pipeline is root finding, operator norms, and the Jordan transform.
+Integer inputs keep the expensive questions cheap: determinants, adjugates
+and matrix powers are computed exactly in ``int`` arithmetic, and the inverse
+power M^-n is kept as the integer pair (adj(M)^n, det(M)^n) and rounded once
+per entry where a float is needed.  ``fractions.Fraction`` appears only in
+the characteristic polynomial and its exact root checks, so the only floating
+point in the pipeline is root finding, operator norms, and the Jordan
+transform.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import (
     ComplexSpectrum,
     IllConditionedTransform,
     IndexOverflow,
+    NonFiniteArithmetic,
     RootFindingFailure,
     SingularMatrix,
 )
@@ -34,6 +38,7 @@ RANK_RTOL = 1e-9
 DILATION_TOL = 1e-8
 CONDITION_LIMIT = 1e8
 RECONSTRUCTION_RTOL = 1e-8
+NEWTON_MAX_ITER = 60
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +73,6 @@ class IntMatrix:
     def as_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
-
     def is_diagonal(self) -> bool:
         return all(
             self.rows[i][j] == 0
@@ -86,56 +88,11 @@ class IntMatrix:
 
 
 @dataclass(frozen=True)
-class RationalMatrix:
-    """A square matrix of exact rationals."""
-
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
-        return RationalMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
-
-    @staticmethod
-    def identity(d: int) -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(d))
-                for i in range(d)
-            )
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.rows)))
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        d = self.dim
-        cols = other.transpose().rows
-        return RationalMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """All complex eigenvalues of an integer matrix, with a realness flag."""
 
     eigenvalues: tuple[complex, ...]
     all_real: bool
-
-    def real_values(self) -> tuple[float, ...]:
-        if not self.all_real:
-            raise ComplexSpectrum("spectrum has genuinely complex eigenvalues")
-        return tuple(ev.real for ev in self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -228,97 +185,51 @@ def adjugate(matrix: IntMatrix) -> IntMatrix:
     ))
 
 
-def inverse(matrix: IntMatrix) -> RationalMatrix:
-    """Exact rational inverse; raises SingularMatrix when det = 0."""
-    n = matrix.dim
-    a = [[Fraction(x) for x in row] for row in matrix.rows]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if a[r][col] != 0), None
-        )
-        if pivot_row is None:
-            raise SingularMatrix("matrix has determinant zero")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        inv[col] = [x / pivot for x in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            factor = a[r][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return RationalMatrix(tuple(tuple(row) for row in inv))
-
-
 def integer_power(matrix: IntMatrix, n: int) -> IntMatrix:
     """Exact n-th power (n >= 0) in integer arithmetic."""
     if n < 0:
-        raise ValueError("use rational_inverse_power for negative powers")
+        raise ValueError("use DilationMatrix.inverse_power for negative powers")
     d = matrix.dim
-    result = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    base = [list(row) for row in matrix.rows]
+    result = IntMatrix(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
     for _ in range(n):
-        result = [
-            [sum(result[i][k] * base[k][j] for k in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-    return IntMatrix(tuple(tuple(row) for row in result))
-
-
-def rational_inverse_power(matrix: IntMatrix, n: int) -> RationalMatrix:
-    """Exact M^-n (n >= 1) as a rational matrix."""
-    if n < 1:
-        raise ValueError("power must be positive")
-    inv = inverse(matrix)
-    result = inv
-    for _ in range(n - 1):
-        result = result.matmul(inv)
+        result = _matmul(result, matrix)
     return result
+
+
+def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    cols = tuple(zip(*b.rows))
+    return IntMatrix(tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.rows
+    ))
 
 
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
-def _exact_gram(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
-    n = len(rows)
-    gram = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i, n):
-            val = sum(a * b for a, b in zip(rows[i], rows[j]))
-            gram[i, j] = gram[j, i] = float(val)
-    return gram
+def operator_norm(matrix: IntMatrix | np.ndarray, denominator: int = 1) -> float:
+    """Largest singular value of ``matrix / denominator``: the square root of
+    the top eigenvalue of its Gram matrix, from a symmetric eigensolver.
 
-
-def operator_norm(matrix: IntMatrix | RationalMatrix | np.ndarray | Sequence) -> float:
-    """Largest singular value: the square root of the top eigenvalue of
-    M M^T, from a symmetric eigensolver.
-
-    Integer and rational inputs have their Gram matrix formed exactly before
-    the single rounding to float, which keeps the result deterministic and
-    accurate to the eigensolver's precision.
+    An integer matrix has its Gram matrix formed exactly in Python ints and
+    each entry rounded once, as ``g / denominator**2`` (int true division is
+    correctly rounded), which keeps the result deterministic and accurate to
+    the eigensolver's precision.  M^-n is ``operator_norm(*inverse_power(n))``.
     """
-    if isinstance(matrix, (IntMatrix, RationalMatrix)):
-        rows = [[Fraction(x) for x in row] for row in matrix.rows]
-        gram = _exact_gram(rows)
+    if isinstance(matrix, IntMatrix):
+        rows = matrix.rows
+        n = len(rows)
+        scale = denominator * denominator
+        gram = np.empty((n, n), dtype=float)
+        for i in range(n):
+            for j in range(i, n):
+                g = sum(a * b for a, b in zip(rows[i], rows[j]))
+                gram[i, j] = gram[j, i] = g / scale
     else:
-        arr = np.asarray(matrix)
-        if arr.dtype == object:
-            rows = [[Fraction(x) for x in row] for row in arr.tolist()]
-            gram = _exact_gram(rows)
-        else:
-            a = arr.astype(float)
-            gram = a @ a.T
+        a = np.asarray(matrix, dtype=float) / denominator
+        gram = a @ a.T
     top = max(np.linalg.eigvalsh(gram).max(), 0.0)
     return math.sqrt(top)
-
-
-def power_inverse_norm(matrix: IntMatrix, n: int) -> float:
-    """Operator norm of M^-n, with the power taken in exact rationals."""
-    return operator_norm(rational_inverse_power(matrix, n))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +351,7 @@ def _exact_value(coeffs: list[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _roots_of_squarefree(coeffs: list[Fraction], max_iter: int = 60) -> list[complex]:
+def _roots_of_squarefree(coeffs: list[Fraction]) -> list[complex]:
     """Roots of a squarefree polynomial: companion-matrix start values
     polished by Newton iteration against the exact coefficients.
 
@@ -461,7 +372,7 @@ def _roots_of_squarefree(coeffs: list[Fraction], max_iter: int = 60) -> list[com
     for z0 in start:
         z = complex(z0)
         converged = False
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             fz = _poly_eval(cf, z)
             # backward-error bound: |f(z)| against the evaluation scale
             scale = sum(abs(c) * max(1.0, abs(z)) ** (len(cf) - 1 - i) for i, c in enumerate(cf))
@@ -477,7 +388,7 @@ def _roots_of_squarefree(coeffs: list[Fraction], max_iter: int = 60) -> list[com
             scale = sum(abs(c) * max(1.0, abs(z)) ** (len(cf) - 1 - i) for i, c in enumerate(cf))
             if abs(fz) > 1e-10 * max(scale, 1.0):
                 raise RootFindingFailure(
-                    f"Newton polish did not converge within {max_iter} iterations"
+                    f"Newton polish did not converge within {NEWTON_MAX_ITER} iterations"
                 )
         if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
             nearest = Fraction(round(z.real))
@@ -495,13 +406,19 @@ def eigenvalues(matrix: IntMatrix) -> Spectrum:
 
     The polynomial is made squarefree first (exact gcd arithmetic), so
     multiple eigenvalues are found with their exact multiplicities and do
-    not suffer the usual accuracy collapse of clustered roots.
+    not suffer the usual accuracy collapse of clustered roots.  Raises
+    NonFiniteArithmetic when the polynomial or its roots overflow a float.
     """
     coeffs = [Fraction(c) for c in characteristic_polynomial(matrix)]
     values: list[complex] = []
-    for factor, multiplicity in _squarefree_factors(coeffs):
-        for root in _roots_of_squarefree(factor):
-            values.extend([root] * multiplicity)
+    try:
+        for factor, multiplicity in _squarefree_factors(coeffs):
+            for root in _roots_of_squarefree(factor):
+                values.extend([root] * multiplicity)
+    except OverflowError as exc:
+        raise NonFiniteArithmetic(
+            f"characteristic polynomial beyond float range: {exc}"
+        ) from exc
     realified = []
     all_real = True
     for z in values:
@@ -719,8 +636,9 @@ class DilationMatrix:
         return abs(self.determinant)
 
     @cached_property
-    def inverse(self) -> RationalMatrix:
-        return inverse(self.matrix)
+    def inverse(self) -> tuple[IntMatrix, int]:
+        """Exact M^-1 as the integer pair (adj(M), det(M))."""
+        return self.inverse_power(1)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -732,7 +650,7 @@ class DilationMatrix:
 
     @cached_property
     def inverse_norm(self) -> float:
-        return operator_norm(self.inverse)
+        return operator_norm(*self.inverse)
 
     @cached_property
     def adjugate(self) -> IntMatrix:
@@ -758,8 +676,8 @@ class DilationMatrix:
         return {}
 
     @cached_property
-    def _inverse_powers(self) -> list[RationalMatrix]:
-        return []
+    def _adjugate_powers(self) -> list[IntMatrix]:
+        return [integer_power(self.matrix, 0)]
 
     @cached_property
     def _inverse_arrays(self) -> dict[int, np.ndarray]:
@@ -771,20 +689,34 @@ class DilationMatrix:
             self._powers[n] = integer_power(self.matrix, n)
         return self._powers[n]
 
-    def inverse_power(self, n: int) -> RationalMatrix:
-        """Exact M^-n (n >= 1); each exponent not seen before costs one
-        product with M^-1."""
+    def adjugate_power(self, n: int) -> IntMatrix:
+        """Exact adj(M)^n (n >= 0); each exponent not seen before costs one
+        integer product with adj(M)."""
+        powers = self._adjugate_powers
+        while len(powers) <= n:
+            powers.append(_matmul(powers[-1], self.adjugate))
+        return powers[n]
+
+    def inverse_power(self, n: int) -> tuple[IntMatrix, int]:
+        """Exact M^-n (n >= 1) as the integer pair (adj(M)^n, det(M)^n):
+        M^-n = adj(M)^n / det(M)^n.  Raises SingularMatrix when det = 0."""
         if n < 1:
             raise ValueError("power must be positive")
-        powers = self._inverse_powers
-        while len(powers) < n:
-            powers.append(powers[-1].matmul(self.inverse) if powers else self.inverse)
-        return powers[n - 1]
+        if self.determinant == 0:
+            raise SingularMatrix("matrix has determinant zero")
+        return self.adjugate_power(n), self.determinant**n
 
     def inverse_power_array(self, n: int) -> np.ndarray:
-        """M^-n rounded to floats, as a read-only array."""
+        """M^-n with each entry a / det^n rounded once, as a read-only
+        array."""
         if n not in self._inverse_arrays:
-            array = np.eye(self.dim) if n == 0 else self.inverse_power(n).as_array()
+            if n == 0:
+                array = np.eye(self.dim)
+            else:
+                adj, den = self.inverse_power(n)
+                # the sign goes into the numerators, so a zero entry is 0.0, not -0.0
+                sign = -1 if den < 0 else 1
+                array = np.array([[sign * a / abs(den) for a in row] for row in adj.rows])
             array.flags.writeable = False
             self._inverse_arrays[n] = array
         return self._inverse_arrays[n]
@@ -800,7 +732,7 @@ class DilationMatrix:
         modulus = self.m**n
         if modulus >= 2**63:
             raise IndexOverflow(f"residues modulo {self.m}^{n} do not fit in int64")
-        adj = [[x % modulus for x in row] for row in integer_power(self.adjugate, n).rows]
+        adj = [[x % modulus for x in row] for row in self.adjugate_power(n).rows]
         vectors = np.asarray(indices, dtype=np.int64).reshape(-1, self.dim) % modulus
         # with both factors reduced, a dot product stays below d (modulus - 1)^2
         dtype = np.int64 if self.dim * (modulus - 1) ** 2 < 2**63 else object

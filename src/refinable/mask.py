@@ -153,18 +153,26 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def _exact_coefficient(exact: Fraction) -> tuple[float, Fraction]:
+    try:
+        return float(exact), exact
+    except OverflowError as exc:
+        raise ParseError(
+            "coefficient has no finite float value (magnitude above 1.8e308)"
+        ) from exc
+
+
 def _parse_coefficient(value) -> tuple[float, Fraction | None]:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             raise ParseError(
                 f"coefficient string {value!r} is not of the form 'p/q'"
             )
-        frac = Fraction(value)
-        return float(frac), frac
+        return _exact_coefficient(Fraction(value))
     if isinstance(value, bool):
         raise ParseError(f"coefficient must be a number or 'p/q' string, got {value!r}")
     if isinstance(value, int):
-        return float(value), Fraction(value)
+        return _exact_coefficient(Fraction(value))
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ParseError(f"coefficient {value!r} is not finite")

@@ -27,7 +27,7 @@ from .bounds import (
     best_bound,
     enclosing_integer_box,
 )
-from .cascade import IntBox, SampledFunction, read_rows, refinement_step, write_rows
+from .cascade import IntBox, SampledFunction, refinement_step, write_rows
 from .errors import (
     ContractionSearchExhausted,
     DomainTooSmall,
@@ -43,6 +43,7 @@ from .mask import Problem, per_problem
 
 UNIT_EIGENVALUE_TOL = 1e-9
 STRUCTURAL_ZERO_TOL = 1e-10
+TRANSFER_ITERATIONS = 200
 _ENUMERATION_CAP = 5_000_000
 _ESCAPE_RTOL = 1e-9
 
@@ -210,32 +211,28 @@ class IntegerValues:
         return {p: float(v) for p, v in zip(self.points, self.basis[0])}
 
 
-def integer_values(
-    transfer: TransferMatrix,
-    unit_tol: float = UNIT_EIGENVALUE_TOL,
-    zero_tol: float = STRUCTURAL_ZERO_TOL,
-) -> IntegerValues:
+def integer_values(transfer: TransferMatrix) -> IntegerValues:
     """Solve B r = r.
 
-    Raises NoUnitEigenvalue when no eigenvalue lies within ``unit_tol`` of
-    one.  The eigenspace basis comes from an SVD null-space computation, so
-    repeated unit eigenvalues yield a full geometric basis; a basis of
-    dimension above one is reported with a NonUniqueWarning instead of being
-    silently resolved.
+    Raises NoUnitEigenvalue when no eigenvalue lies within
+    ``UNIT_EIGENVALUE_TOL`` of one.  The eigenspace basis comes from an SVD
+    null-space computation, so repeated unit eigenvalues yield a full
+    geometric basis; a basis of dimension above one is reported with a
+    NonUniqueWarning instead of being silently resolved.
     """
     b = transfer.matrix
     n = transfer.size
     try:
         eigs = np.linalg.eigvals(b)
-        if not np.any(np.abs(eigs - 1.0) <= unit_tol):
+        if not np.any(np.abs(eigs - 1.0) <= UNIT_EIGENVALUE_TOL):
             nearest = eigs[np.argmin(np.abs(eigs - 1.0))]
             raise NoUnitEigenvalue(
-                f"no eigenvalue within {unit_tol:g} of 1 (nearest: {nearest:.6g})"
+                f"no eigenvalue within {UNIT_EIGENVALUE_TOL:g} of 1 (nearest: {nearest:.6g})"
             )
         _, sing, vt = np.linalg.svd(b - np.eye(n))
     except np.linalg.LinAlgError as exc:
         raise NonFiniteArithmetic(f"transfer eigensolve failed: {exc}") from exc
-    null_tol = unit_tol * max(1.0, float(sing[0]))
+    null_tol = UNIT_EIGENVALUE_TOL * max(1.0, float(sing[0]))
     dimension = int(np.sum(sing <= null_tol))
     if dimension == 0:
         dimension = 1
@@ -253,7 +250,7 @@ def integer_values(
             )
         vec = vec / total
         zeros = tuple(
-            p for p, v in zip(transfer.points, vec) if abs(v) <= zero_tol
+            p for p, v in zip(transfer.points, vec) if abs(v) <= STRUCTURAL_ZERO_TOL
         )
         return IntegerValues(transfer.points, vec[None, :], 1, True, zeros)
     warnings.warn(
@@ -265,10 +262,7 @@ def integer_values(
     return IntegerValues(transfer.points, basis, dimension, False, ())
 
 
-def converged_integer_values(
-    problem: Problem,
-    iterations: int = 200,
-) -> dict[tuple[int, ...], float]:
+def converged_integer_values(problem: Problem) -> dict[tuple[int, ...], float]:
     """Integer-point values obtained by iterating the transfer matrix on the
     integer samples of the box indicator (a unit spike at the origin).
 
@@ -281,10 +275,10 @@ def converged_integer_values(
     vec = np.zeros(len(points))
     vec[points.index((0,) * problem.dim)] = 1.0
     acc = np.zeros_like(vec)
-    tail = max(1, iterations // 4)
-    for i in range(iterations):
+    tail = TRANSFER_ITERATIONS // 4
+    for i in range(TRANSFER_ITERATIONS):
         vec = transfer.matrix @ vec
-        if i >= iterations - tail:
+        if i >= TRANSFER_ITERATIONS - tail:
             acc += vec
     # averaging the tail tolerates slowly rotating transient components
     vec = acc / tail
@@ -441,21 +435,28 @@ def export_values(problem: Problem, table: ValueTable, stream: IO[str]) -> None:
 
 
 def read_values(stream: IO[str]) -> ValueTable:
-    """Parse an exported ValueTable; values round-trip bit-exactly.  A level
-    without rows is absent from the file and so from the table."""
-    rows: dict[int, tuple[list, list]] = {}
-    for level, index, _, value in read_rows(stream):
-        indices, values = rows.setdefault(level, ([], []))
-        indices.append(index)
-        values.append(value)
+    """Parse a delimited dump (an exported ValueTable or cascade samples)
+    into per-level arrays; values round-trip bit-exactly.  A level without
+    rows is absent from the file and so from the table."""
+    fields = stream.readline().rstrip("\n").split("\t")
+    if fields[0] != "level" or fields[-1] != "value":
+        raise ValueError("missing or malformed header row")
+    dim = (len(fields) - 2) // 2
+    rows = [line.split("\t") for line in stream.read().splitlines() if line]
+    levels = np.array([int(parts[0]) for parts in rows], dtype=np.int64)
+    index_rows = np.array(
+        [[int(x) for x in parts[1 : 1 + dim]] for parts in rows], dtype=np.int64
+    ).reshape(-1, dim)
+    value_col = np.array([float(parts[1 + 2 * dim]) for parts in rows])
     samples = {}
-    for level, (index_rows, value_list) in sorted(rows.items()):
-        indices = np.asarray(index_rows, dtype=np.int64)
+    for level in np.unique(levels).tolist():
+        at_level = levels == level
+        indices = index_rows[at_level]
         order = np.lexsort(indices.T[::-1])
         indices = indices[order]
         if np.any(np.all(indices[1:] == indices[:-1], axis=1)):
             raise ValueError(f"level {level} repeats an index")
-        samples[level] = _sampled(level, indices, np.asarray(value_list)[order])
+        samples[level] = _sampled(level, indices, value_col[at_level][order])
     level0 = samples.get(0)
     normalized = (
         level0 is not None and abs(math.fsum(level0.values.tolist()) - 1.0) <= 1e-12

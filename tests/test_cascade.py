@@ -20,7 +20,7 @@ from refinable import (
     initial_support_radius,
     m0_eval,
     problem_from_data,
-    read_rows,
+    read_values,
     refinement_step,
     run_cascade,
     write_samples,
@@ -231,11 +231,10 @@ class TestSampleDumps:
         buffer = io.StringIO()
         write_samples(d4_problem, levels, buffer)
         buffer.seek(0)
-        rows = read_rows(buffer)
-        by_key = {(lvl, idx): value for lvl, idx, _, value in rows}
+        table = read_values(buffer)
+        assert sorted(table.samples) == [f.level for f in levels]
         for f in levels:
-            for key, value in f.as_dict().items():
-                assert by_key[(f.level, key)] == value
+            assert table.samples[f.level].as_dict() == f.as_dict()
 
     def test_header_and_determinism(self, quincunx_problem):
         levels = run_cascade(quincunx_problem, BOX, 2)

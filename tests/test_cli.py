@@ -240,3 +240,64 @@ class TestNonFiniteArithmetic:
         assert result.stderr.startswith("error: NonFiniteArithmetic: ")
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
+
+
+BIG = 10**400
+
+
+class TestHugeIntegers:
+    """Integers beyond float range in a problem document end in one error
+    line: a coefficient is invalid input, a matrix whose characteristic
+    polynomial overflows is a numerical outcome."""
+
+    CASES = {
+        "coefficient": ([[2]], [{"q": [0], "c": BIG}, {"q": [1], "c": 1 - BIG}], 2, "ParseError"),
+        "rational": ([[2]], [{"q": [0], "c": f"{BIG}/1"}, {"q": [1], "c": "1/2"}], 2, "ParseError"),
+        "matrix": ([[BIG]], [{"q": [0], "c": "1/2"}, {"q": [1], "c": "1/2"}], 3, "NonFiniteArithmetic"),
+    }
+
+    @pytest.mark.parametrize("command", ["analyze", "bound"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line(self, tmp_path, command, case):
+        matrix, coefficients, code, error = self.CASES[case]
+        result = run_cli(command, write_doc(tmp_path, case, 1, matrix, coefficients))
+        assert result.returncode == code
+        assert result.stderr.startswith(f"error: {error}: ")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
+
+
+def run_with_closed_stdout(*args):
+    """Run the CLI with stdout a pipe whose reading end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "refinable", *map(str, args)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=ENV,
+        )
+    finally:
+        os.close(write_end)
+
+
+class TestBrokenPipe:
+    """A reader that goes away early (``refinable ... | head -1``) ends the
+    run with exit code 1 and nothing on stderr, however long the output."""
+
+    def test_short_output_fails_at_the_final_flush(self, haar_doc):
+        result = run_with_closed_stdout("analyze", haar_doc)
+        assert (result.returncode, result.stderr) == (1, "")
+
+    def test_long_output_fails_while_printing(self, tmp_path):
+        # 3-D tensor product of D4 with M = 2I: about 67 kB of JSON
+        records = [
+            {"q": [i, j, k], "c": D4_COEFFS[i] * D4_COEFFS[j] * D4_COEFFS[k]}
+            for i in range(4) for j in range(4) for k in range(4)
+        ]
+        doc = write_doc(tmp_path, "d4x3", 3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]], records)
+        assert len(run_cli("values", doc, "--format", "structured").stdout) > 8192
+        result = run_with_closed_stdout("values", doc, "--format", "structured")
+        assert (result.returncode, result.stderr) == (1, "")

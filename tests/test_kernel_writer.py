@@ -222,11 +222,13 @@ def test_powers_are_memoized_and_read_only():
     matrix = DilationMatrix.from_rows([[0, 1], [3, 1]])
     assert matrix.power(3) is matrix.power(3)
     assert matrix.power(3).rows == ((3, 4), (12, 7))
-    assert matrix.inverse_power(4) is matrix.inverse_power(4)
+    assert matrix.adjugate_power(4) is matrix.adjugate_power(4)
+    assert matrix.inverse_power(4)[0] is matrix.adjugate_power(4)
     array = matrix.inverse_power_array(2)
     assert array is matrix.inverse_power_array(2)
     assert not array.flags.writeable
-    np.testing.assert_array_equal(array, matrix.inverse_power(2).as_array())
+    adj, det = matrix.inverse_power(2)
+    np.testing.assert_array_equal(array, np.asarray(adj.rows) / det)
     assert not matrix.inverse_power_array(0).flags.writeable
 
 

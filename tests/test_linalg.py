@@ -13,14 +13,13 @@ from refinable import (
     determinant,
     eigenvalues,
     integer_power,
-    inverse,
     is_dilation,
     operator_norm,
-    power_inverse_norm,
-    rational_inverse_power,
     real_jordan_structure,
 )
 from refinable.errors import ComplexSpectrum, SingularMatrix
+
+from oracle import as_floats, fraction_inverse, fraction_inverse_power
 
 SKEW = IntMatrix.from_rows([[0, 1], [3, 1]])
 
@@ -52,43 +51,75 @@ class TestDeterminant:
             assert determinant(mat) == expected
 
 
+def inverse_fractions(matrix):
+    """M^-1 from the library's integer pair, as rows of Fractions."""
+    adj, det = DilationMatrix(matrix).inverse
+    return [[Fraction(a, det) for a in row] for row in adj.rows]
+
+
+def power_inverse_norm(matrix, n):
+    return operator_norm(*DilationMatrix(matrix).inverse_power(n))
+
+
 class TestInverse:
     def test_identity(self):
         ident = IntMatrix.from_rows([[1, 0], [0, 1]])
-        assert inverse(ident).rows == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        assert DilationMatrix(ident).inverse == (ident, 1)
+        assert inverse_fractions(ident) == [[1, 0], [0, 1]]
 
     def test_diagonal(self):
-        inv = inverse(IntMatrix.from_rows([[2, 0], [0, 2]]))
-        assert inv.rows == ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
+        mat = IntMatrix.from_rows([[2, 0], [0, 2]])
+        assert DilationMatrix(mat).inverse == (mat, 4)
+        assert inverse_fractions(mat) == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
 
     def test_skew_matrix(self):
         # adjugate over determinant, checked by exact product with A
-        inv = inverse(SKEW)
-        assert inv.rows == (
-            (Fraction(-1, 3), Fraction(1, 3)),
-            (Fraction(1), Fraction(0)),
-        )
+        assert DilationMatrix(SKEW).inverse == (IntMatrix.from_rows([[1, -1], [-3, 0]]), -3)
+        assert inverse_fractions(SKEW) == [
+            [Fraction(-1, 3), Fraction(1, 3)],
+            [Fraction(1), Fraction(0)],
+        ]
 
     def test_singular(self):
+        singular = DilationMatrix.from_rows([[1, 2], [2, 4]])
         with pytest.raises(SingularMatrix):
-            inverse(IntMatrix.from_rows([[1, 2], [2, 4]]))
+            singular.inverse_power(1)
+        with pytest.raises(SingularMatrix):
+            singular.inverse
+        with pytest.raises(SingularMatrix):
+            fraction_inverse(singular.matrix)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_exact_product_is_identity(self, dim):
         for mat in random_int_matrices(8, dim, seed=10 + dim):
             if determinant(mat) == 0:
                 continue
-            inv = inverse(mat)
-            ident = [
-                [
-                    sum(Fraction(mat.rows[i][k]) * inv.rows[k][j] for k in range(dim))
-                    for j in range(dim)
+            # both the library's pair and the Fraction oracle invert exactly
+            for inv in (inverse_fractions(mat), fraction_inverse(mat)):
+                ident = [
+                    [
+                        sum(Fraction(mat.rows[i][k]) * inv[k][j] for k in range(dim))
+                        for j in range(dim)
+                    ]
+                    for i in range(dim)
                 ]
-                for i in range(dim)
-            ]
-            for i in range(dim):
-                for j in range(dim):
-                    assert ident[i][j] == (1 if i == j else 0)
+                for i in range(dim):
+                    for j in range(dim):
+                        assert ident[i][j] == (1 if i == j else 0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_powers_match_the_fraction_oracle(self, dim):
+        for mat in random_int_matrices(6, dim, seed=30 + dim):
+            if determinant(mat) == 0:
+                continue
+            matrix = DilationMatrix(mat)
+            for n in range(1, 5):
+                adj, det = matrix.inverse_power(n)
+                exact = [[Fraction(a, det) for a in row] for row in adj.rows]
+                assert exact == fraction_inverse_power(mat, n)
+                assert np.array_equal(
+                    matrix.inverse_power_array(n), as_floats(exact)
+                )
 
 
 class TestOperatorNorm:
@@ -102,7 +133,7 @@ class TestOperatorNorm:
         # hand Gram of A^-1: eigenvalues ((11 +- sqrt(85)) / 18), largest
         # singular value is the square root of the larger one
         expected = math.sqrt((11 + math.sqrt(85)) / 18)
-        assert operator_norm(inverse(SKEW)) == pytest.approx(expected, rel=1e-12)
+        assert operator_norm(*DilationMatrix(SKEW).inverse) == pytest.approx(expected, rel=1e-12)
 
     def test_scaling_homogeneity(self):
         rng = np.random.RandomState(3)
@@ -176,14 +207,14 @@ class TestPowerInverseNorm:
         )
 
     def test_first_power_matches_inverse_norm(self):
-        assert power_inverse_norm(SKEW, 1) == operator_norm(inverse(SKEW))
+        assert power_inverse_norm(SKEW, 1) == DilationMatrix(SKEW).inverse_norm
 
     def test_trend_to_zero_and_first_contractive_power(self):
         # independent oracle: exact rational powers, then float SVD norms
         norms = []
         for n in range(1, 9):
-            exact = rational_inverse_power(SKEW, n)
-            norms.append(float(np.linalg.norm(exact.as_array(), 2)))
+            exact = fraction_inverse_power(SKEW, n)
+            norms.append(float(np.linalg.norm(as_floats(exact), 2)))
             assert power_inverse_norm(SKEW, n) == pytest.approx(norms[-1], rel=1e-10)
         first = next(i + 1 for i, v in enumerate(norms) if v < 1)
         assert first == 2
