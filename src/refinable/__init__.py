@@ -81,6 +81,7 @@ from .pointwise import (
     read_values,
     refine_consistency,
     refine_values,
+    resolve_values,
     transfer_matrix,
 )
 

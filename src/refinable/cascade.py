@@ -28,7 +28,7 @@ from .errors import (
     NonFiniteArithmetic,
     NormNotContractive,
 )
-from .linalg import DilationMatrix
+from .linalg import DilationMatrix, IntMatrix
 from .mask import Mask, Problem
 from .bounds import finite_level_ball
 
@@ -155,6 +155,15 @@ def initial_samples(
 # the shared refinement kernel
 # ---------------------------------------------------------------------------
 
+def _index_power(problem: Problem, n: int) -> IntMatrix:
+    """M^n, refused with IndexOverflow when an entry is too large for int64
+    lattice index arithmetic."""
+    power = problem.matrix.power(n)
+    if max(abs(x) for row in power.rows for x in row) >= _INDEX_LIMIT:
+        raise IndexOverflow(f"M^{n} has entries too large for int64 lattice indices")
+    return power
+
+
 def refinement_step(
     problem: Problem,
     indices: np.ndarray,
@@ -174,11 +183,7 @@ def refinement_step(
     """
     if step < 1:
         raise ValueError("step must be positive")
-    power = problem.matrix.power(step - 1)
-    if max(abs(x) for row in power.rows for x in row) >= _INDEX_LIMIT:
-        raise IndexOverflow(
-            f"M^{step - 1} has entries too large for int64 lattice indices"
-        )
+    power = _index_power(problem, step - 1)
     d = problem.dim
     if len(indices) == 0:
         return np.zeros((0, d), dtype=np.int64), np.zeros(0)
@@ -282,6 +287,10 @@ def run_cascade(
         raise NormNotContractive(
             "bound-derived domain boxes need ||M^-1|| < 1; use boxes='auto'"
         )
+    # refuse a run whose lattice indices overflow before any level is spent:
+    # with huge entries m = |det M| overflows a float already at level 1
+    for level in range(1, levels):
+        _index_power(problem, level)
     result = [initial_samples(kind, problem)]
     for level in range(1, levels + 1):
         box = level_domain_box(problem, kind, level) if boxes == "bound" else None
@@ -379,6 +388,27 @@ def sample_header(dim: int) -> str:
 _WRITE_CHUNK = 1024
 
 
+def _formatted(column: np.ndarray) -> list[str]:
+    """``repr`` of every entry of an int64 or float64 column, formatting each
+    distinct value once and gathering the strings by index.  Values are told
+    apart by their bits, so 0.0 and -0.0 keep their own strings."""
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    table = np.array(list(map(repr, distinct.view(column.dtype).tolist())), dtype=object)
+    return table[inverse].tolist()
+
+
+def _chunk_rows(
+    prefix: Iterable[str], indices: np.ndarray, coords: np.ndarray, values: np.ndarray
+) -> list[str]:
+    """The rows of one chunk and a last empty entry, so that joining them with
+    newlines ends the chunk with one.  The column strings die on return,
+    before the rows are joined."""
+    columns = [_formatted(column) for column in indices.T]
+    columns += [_formatted(column) for column in coords.T]
+    columns.append(_formatted(values))
+    return [*map("\t".join, zip(prefix, *columns)), ""]
+
+
 def write_rows(
     stream: IO[str],
     matrix: DilationMatrix,
@@ -388,20 +418,23 @@ def write_rows(
     index, coordinates, value) under a mandatory header.
 
     The coordinates of a level are x = k (M^-n)^T, computed once for the
-    whole level; floats use shortest round-trip formatting.  Columns are
-    formatted whole and rows joined a chunk at a time, so no level's text is
-    held in memory at once.
+    whole level; floats use shortest round-trip formatting.  Rows are joined
+    a chunk at a time, so no level's text is held in memory at once, and
+    within a chunk each distinct value of a column is formatted once.
     """
     stream.write(sample_header(matrix.dim) + "\n")
     for level, indices, values in levels:
+        # the tables tell values apart by their 8-byte patterns
+        indices = np.asarray(indices, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
         coords = indices.astype(float) @ matrix.inverse_power_array(level).T
         prefix = itertools.repeat(str(level))
         for start in range(0, len(values), _WRITE_CHUNK):
             part = slice(start, start + _WRITE_CHUNK)
-            columns = [map(str, column.tolist()) for column in indices[part].T]
-            columns += [map(repr, column.tolist()) for column in coords[part].T]
-            columns.append(map(repr, values[part].tolist()))
-            stream.write("\n".join(map("\t".join, zip(prefix, *columns))) + "\n")
+            # no name holds a chunk's rows, so they die before the next chunk
+            stream.write("\n".join(
+                _chunk_rows(prefix, indices[part], coords[part], values[part])
+            ))
 
 
 def write_samples(

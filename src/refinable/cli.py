@@ -39,7 +39,6 @@ from .errors import (
     IllConditionedTransform,
     MaskSumViolation,
     NoBoundAvailable,
-    NonUniqueWarning,
     NormNotContractive,
     NormalizationImpossible,
     NotDilation,
@@ -254,32 +253,9 @@ def _cmd_cascade(args) -> int:
     return 0
 
 
-def _resolve_values(problem: Problem, left_closed: bool):
-    transfer = pointwise_mod.transfer_matrix(problem)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = pointwise_mod.integer_values(transfer)
-    notes = [str(w.message) for w in caught if issubclass(w.category, NonUniqueWarning)]
-    if result.normalized or not left_closed:
-        return result, notes, result.values if result.normalized else None
-    converged = pointwise_mod.converged_integer_values(problem)
-    # project the converged iterate onto the eigenspace, then normalize
-    vec = np.asarray([converged[p] for p in result.points])
-    basis = result.basis
-    coords, *_ = np.linalg.lstsq(basis.T, vec, rcond=None)
-    projected = basis.T @ coords
-    total = projected.sum()
-    if abs(total) <= 1e-12:
-        raise NormalizationImpossible("left-closed selection has zero sum")
-    projected = projected / total
-    values = {p: float(v) for p, v in zip(result.points, projected)}
-    notes.append("left-closed tie-break applied")
-    return result, notes, values
-
-
 def _cmd_values(args) -> int:
     problem = _load_problem(args.problem)
-    result, notes, values = _resolve_values(problem, args.left_closed)
+    result, notes, values = pointwise_mod.resolve_values(problem, args.left_closed)
     data = {
         "eigenspace_dimension": result.eigenspace_dimension,
         "points": [list(p) for p in result.points],
@@ -313,7 +289,7 @@ def _cmd_refine(args) -> int:
     problem = _load_problem(args.problem)
     if args.levels > LEVEL_CAP:
         raise ParseError(f"--levels above the level cap {LEVEL_CAP}")
-    _, notes, values = _resolve_values(problem, args.left_closed)
+    _, notes, values = pointwise_mod.resolve_values(problem, args.left_closed)
     if values is None:
         print(
             "error: NoUnitEigenvalue-ambiguity: transfer eigenspace is not "

@@ -152,12 +152,15 @@ def build_transfer_matrix(
     if not pts:
         raise ValueError("points must be nonempty")
     n, d = len(pts), problem.dim
+    rows = problem.matrix.matrix.rows
+    # before m = |det M| is rounded: entries this large can overflow a float
+    if max(abs(x) for r in rows for x in r) >= 2**62:
+        raise IndexOverflow("M has entries too large for int64 lattice indices")
     m = float(problem.m)
     taps = [(q, m * c) for q, c in problem.mask.items_sorted()]
     for q, w in taps:
         if not math.isfinite(w):
             raise NonFiniteArithmetic(f"transfer entry m c_q overflows at q = {list(q)}")
-    rows = problem.matrix.matrix.rows
     reach = max(map(abs, itertools.chain(*pts))) * max(sum(map(abs, r)) for r in rows)
     if reach + max(abs(x) for q, _ in taps for x in q) >= 2**62:
         raise IndexOverflow("images M k of the points do not fit in int64")
@@ -285,6 +288,38 @@ def converged_integer_values(problem: Problem) -> dict[tuple[int, ...], float]:
     if not np.all(np.isfinite(vec)):
         raise NonFiniteArithmetic("the transfer iteration overflowed")
     return {p: float(v) for p, v in zip(points, vec)}
+
+
+def resolve_values(
+    problem: Problem, left_closed: bool
+) -> tuple[IntegerValues, list[str], dict[tuple[int, ...], float] | None]:
+    """Integer-point values as ``values`` and ``refine`` report them: the
+    eigenspace, the messages of any NonUniqueWarning plus a note when the
+    tie-break applied, and the values, or None when the eigenspace is not
+    one-dimensional and no tie-break was asked for.
+
+    With ``left_closed`` a larger eigenspace is resolved toward the limit of
+    :func:`converged_integer_values`: that iterate is projected onto the
+    eigenspace and normalized to sum one.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = integer_values(transfer_matrix(problem))
+    notes = [str(w.message) for w in caught if issubclass(w.category, NonUniqueWarning)]
+    if result.normalized or not left_closed:
+        return result, notes, result.values if result.normalized else None
+    converged = converged_integer_values(problem)
+    vec = np.asarray([converged[p] for p in result.points])
+    basis = result.basis
+    coords, *_ = np.linalg.lstsq(basis.T, vec, rcond=None)
+    projected = basis.T @ coords
+    total = projected.sum()
+    if abs(total) <= 1e-12:
+        raise NormalizationImpossible("left-closed selection has zero sum")
+    projected = projected / total
+    values = {p: float(v) for p, v in zip(result.points, projected)}
+    notes.append("left-closed tie-break applied")
+    return result, notes, values
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Independent exact oracle for inverse powers: a ``Fraction`` Gauss-Jordan
-inverse and rational matrix products, with every float derived from them by
-one rounding per entry.
+"""Independent oracles the tests compare the library against, bit for bit.
 
-The library keeps M^-n as the integer pair (adj(M)^n, det(M)^n); these
-helpers reach the same numbers by a different road, so the tests can demand
-bit-for-bit agreement.
+For inverse powers: a ``Fraction`` Gauss-Jordan inverse and rational matrix
+products, with every float derived from them by one rounding per entry.  The
+library keeps M^-n as the integer pair (adj(M)^n, det(M)^n); these helpers
+reach the same numbers by a different road.
+
+For sample dumps: the per-row layout the column-wise writer must reproduce.
 """
 
 import math
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from refinable.cascade import sample_header
 from refinable.errors import SingularMatrix
 
 
@@ -91,3 +93,15 @@ def fourier_product(problem, u, terms, m0_eval):
         if j < terms:
             power = fraction_matmul(power, inv_t)
     return result
+
+
+def per_row_reference(matrix, blocks):
+    """The per-row f-string layout the writer must reproduce byte for byte."""
+    lines = [sample_header(matrix.dim)]
+    for level, indices, values in blocks:
+        coords = indices.astype(float) @ matrix.inverse_power_array(level).T
+        for idx, xrow, value in zip(indices, coords, values):
+            ks = "\t".join(str(int(k)) for k in idx)
+            xs = "\t".join(repr(float(x)) for x in xrow)
+            lines.append(f"{level}\t{ks}\t{xs}\t{float(value)!r}")
+    return "\n".join(lines) + "\n"

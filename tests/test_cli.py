@@ -266,6 +266,31 @@ class TestHugeIntegers:
         assert result.stderr.count("\n") == 1
         assert result.stdout == ""
 
+    # matrix entries that a problem document holds but int64 lattice indices
+    # (and, for the 2-D case, a float m = |det M|) cannot
+    OVERSIZED = {
+        "scalar": (1, [[10**100]], [{"q": [0], "c": "1/2"}, {"q": [1], "c": "1/2"}]),
+        "diagonal": (
+            2, [[10**155, 1], [0, 10**155]],
+            [{"q": [0, 0], "c": "1/2"}, {"q": [1, 0], "c": "1/2"}],
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        ("case", "command"),
+        [("scalar", "values"), ("scalar", "refine"),
+         ("diagonal", "values"), ("diagonal", "refine"), ("diagonal", "cascade")],
+    )
+    def test_oversized_matrix_is_index_overflow(self, tmp_path, case, command):
+        dimension, matrix, coefficients = self.OVERSIZED[case]
+        doc = write_doc(tmp_path, case, dimension, matrix, coefficients)
+        extra = [] if command == "values" else ["--outdir", tmp_path / "out"]
+        result = run_cli(command, doc, *extra)
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: IndexOverflow: ")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
+
 
 def run_with_closed_stdout(*args):
     """Run the CLI with stdout a pipe whose reading end is already closed."""

@@ -1,0 +1,59 @@
+"""The one writer on real data: the cascade and refine dumps of the five
+bundled problems equal the per-row reference byte for byte.  Their columns
+mostly repeat values (tile masks give small-integer cascade values, and
+refinement pads the enclosure with exact zeros), which is what the writer's
+per-chunk tables of distinct values rely on; the Daubechies cascade is the
+all-distinct contrast."""
+
+import io
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from refinable import (
+    export_values,
+    parse_problem,
+    refine_values,
+    resolve_values,
+    run_cascade,
+    write_samples,
+)
+
+from oracle import per_row_reference
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
+NAMES = sorted(path.stem for path in PROBLEMS.glob("*.json"))
+
+
+def test_five_bundled_problems():
+    assert NAMES == ["daubechies4", "haar", "quincunx", "shear2d", "skew3"]
+
+
+@pytest.fixture(scope="module", params=NAMES)
+def problem(request):
+    return parse_problem((PROBLEMS / f"{request.param}.json").read_text())
+
+
+def assert_dump(problem, dump, blocks):
+    # compared as lists of lines, so a failure names the first differing line
+    expected = per_row_reference(problem.matrix, blocks)
+    assert dump.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def test_cascade_dump_matches_per_row_format(problem):
+    iterates = run_cascade(problem, levels=5)
+    buffer = io.StringIO()
+    write_samples(problem, iterates, buffer)
+    assert_dump(problem, buffer.getvalue(), [(f.level, f.indices, f.values) for f in iterates])
+
+
+def test_refine_dump_matches_per_row_format(problem):
+    _, _, values = resolve_values(problem, left_closed=True)
+    table = refine_values(problem, values, 3)
+    buffer = io.StringIO()
+    export_values(problem, table, buffer)
+    blocks = [(j, f.indices, f.values) for j, f in sorted(table.samples.items())]
+    # every refinement level pads its enclosure with exact zeros
+    assert all(np.count_nonzero(f.values == 0.0) > 1 for f in table.samples.values() if f.level)
+    assert_dump(problem, buffer.getvalue(), blocks)

@@ -15,6 +15,8 @@ from refinable.cascade import _WRITE_CHUNK, refinement_step, sample_header, writ
 from refinable.errors import EnumerationTooLarge, IndexOverflow, RefinableError
 from refinable.linalg import DilationMatrix, IntMatrix, is_dilation
 
+from oracle import per_row_reference
+
 SKEW3 = Path(__file__).resolve().parent.parent / "demos" / "problems" / "skew3.json"
 
 
@@ -105,18 +107,6 @@ def test_kernel_on_empty_input(quincunx_problem):
 # the column-wise writer against the per-row format
 # ---------------------------------------------------------------------------
 
-def per_row_reference(matrix, blocks):
-    """The per-row f-string layout the writer must reproduce byte for byte."""
-    lines = [sample_header(matrix.dim)]
-    for level, indices, values in blocks:
-        coords = indices.astype(float) @ matrix.inverse_power_array(level).T
-        for idx, xrow, value in zip(indices, coords, values):
-            ks = "\t".join(str(int(k)) for k in idx)
-            xs = "\t".join(repr(float(x)) for x in xrow)
-            lines.append(f"{level}\t{ks}\t{xs}\t{float(value)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def written(matrix, blocks):
     buffer = io.StringIO()
     write_rows(buffer, matrix, blocks)
@@ -187,6 +177,58 @@ def test_writer_matches_per_row_format(case):
     values = np.array([r[1] for r in rows], dtype=float)
     blocks = [(level, indices, values)]
     assert written(MATRICES[d], blocks) == per_row_reference(MATRICES[d], blocks)
+
+
+# small pools, so that most cells of a chunk repeat a value; each float pool
+# holds both zeros, and subnormals, so that telling values apart by anything
+# but their bits shows
+INDEX_POOLS = [[0, 1, -1], [2**62 - 1, -(2**62) + 1, 0, 7], [-(2**53) - 1, 2**53 + 1]]
+VALUE_POOLS = [
+    [0.0, -0.0],
+    [0.0, -0.0, 5e-324, -5e-324],
+    [0.0, -0.0, 2.5e-310, -2.2250738585072014e-308, 1.0, -1.5, 1 / 3, 1e300],
+]
+LENGTHS = [0, 1, 7, 300, _WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1, 2 * _WRITE_CHUNK + 5]
+
+
+def drawn_column(rng, kind, pool, n, dtype):
+    """One column of length n: drawn from a pool, constant, or all distinct."""
+    if kind == "pool":
+        return rng.choice(np.asarray(pool, dtype=dtype), size=n)
+    if kind == "constant":
+        return np.full(n, pool[int(rng.integers(len(pool)))], dtype=dtype)
+    if dtype == np.int64:
+        return rng.permutation(np.arange(n, dtype=np.int64) * 3 - n)
+    # distinct bit patterns, zeros of both signs among them
+    return np.concatenate([[0.0, -0.0], rng.standard_normal(n)])[rng.permutation(n + 2)][:n]
+
+
+@st.composite
+def repeated_blocks(draw):
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["pool", "constant", "distinct"])
+    blocks = []
+    for level in sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=3))):
+        n = draw(st.sampled_from(LENGTHS))
+        columns = [
+            drawn_column(rng, draw(kinds), draw(st.sampled_from(INDEX_POOLS)), n, np.int64)
+            for _ in range(d)
+        ]
+        indices = np.stack(columns, axis=1) if n else np.zeros((0, d), dtype=np.int64)
+        values = drawn_column(rng, draw(kinds), draw(st.sampled_from(VALUE_POOLS)), n, float)
+        blocks.append((level, indices, values))
+    return d, blocks
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(repeated_blocks())
+def test_writer_matches_per_row_format_on_repeated_values(case):
+    d, blocks = case
+    # compared as lists of lines, so a failure reports the first differing line
+    # without a text diff of the whole dump
+    got = written(MATRICES[d], blocks).splitlines(keepends=True)
+    assert got == per_row_reference(MATRICES[d], blocks).splitlines(keepends=True)
 
 
 def read_x_columns(outdir):

@@ -19,6 +19,7 @@ from refinable import (
     problem_from_data,
     read_values,
     refine_values,
+    resolve_values,
     run_cascade,
 )
 from refinable.errors import (
@@ -188,6 +189,27 @@ class TestIntegerValues:
         converged = converged_integer_values(haar_problem)
         assert converged[(0,)] == pytest.approx(1.0, abs=1e-14)
         assert converged[(1,)] == pytest.approx(0.0, abs=1e-14)
+
+
+class TestResolveValues:
+    def test_unique_eigenspace_needs_no_tie_break(self, d4_problem):
+        for left_closed in (False, True):
+            result, notes, values = resolve_values(d4_problem, left_closed)
+            assert result.normalized and notes == []
+            assert values == result.values
+
+    def test_haar_without_tie_break_has_no_values(self, haar_problem):
+        result, notes, values = resolve_values(haar_problem, False)
+        assert result.eigenspace_dimension == 2 and values is None
+        assert len(notes) == 1 and "not unique" in notes[0]
+
+    def test_haar_left_closed_is_the_indicator(self, haar_problem):
+        result, notes, values = resolve_values(haar_problem, True)
+        assert notes[-1] == "left-closed tie-break applied"
+        assert values.keys() == set(result.points)
+        assert values[(0,)] == pytest.approx(1.0, abs=1e-12)
+        assert values[(1,)] == pytest.approx(0.0, abs=1e-12)
+        assert math.fsum(values.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRefineValues:
