@@ -164,6 +164,15 @@ def _index_power(problem: Problem, n: int) -> IntMatrix:
     return power
 
 
+def _float_m(problem: Problem) -> float:
+    """m = |det M| as a float, refused with NonFiniteArithmetic when it lies
+    beyond float range."""
+    try:
+        return float(problem.m)
+    except OverflowError:
+        raise NonFiniteArithmetic("m = |det M| overflows a float") from None
+
+
 def refinement_step(
     problem: Problem,
     indices: np.ndarray,
@@ -203,7 +212,7 @@ def refinement_step(
     # key(k + shift) = key of k relative to the input hull + key of the shift
     # relative to the lowest shift; both parts are nonnegative
     base = (indices - np.asarray(first, dtype=np.int64)) @ np.asarray(strides, dtype=np.int64)
-    m = float(problem.m)
+    m = _float_m(problem)
     keys = np.concatenate([
         base + sum((s[i] - low[i]) * strides[i] for i in range(d)) for s in shifts
     ])
@@ -287,10 +296,12 @@ def run_cascade(
         raise NormNotContractive(
             "bound-derived domain boxes need ||M^-1|| < 1; use boxes='auto'"
         )
-    # refuse a run whose lattice indices overflow before any level is spent:
-    # with huge entries m = |det M| overflows a float already at level 1
+    # refuse a run whose lattice indices overflow before any level is spent,
+    # and one whose m = |det M| overflows a float, which every level's values
+    # and the mass of every iterate, level 0 included, are scaled by
     for level in range(1, levels):
         _index_power(problem, level)
+    _float_m(problem)
     result = [initial_samples(kind, problem)]
     for level in range(1, levels + 1):
         box = level_domain_box(problem, kind, level) if boxes == "bound" else None
@@ -336,7 +347,7 @@ def empirical_support(
 
 def discrete_mass(problem: Problem, sampled: SampledFunction) -> float:
     """Riemann-sum mass m^-n sum_k G_n(k); invariant under cascade steps."""
-    return float(problem.m) ** (-sampled.level) * float(np.sum(sampled.values))
+    return _float_m(problem) ** (-sampled.level) * float(np.sum(sampled.values))
 
 
 # ---------------------------------------------------------------------------

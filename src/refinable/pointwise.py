@@ -94,7 +94,10 @@ def lattice_points_in_bound(
     problem: Problem, bound: SupportBound, level: int
 ) -> np.ndarray:
     """Integer indices k with M^-level k inside the bound, as distinct
-    ``(n, d)`` int64 rows in lexicographic order."""
+    ``(n, d)`` int64 rows in lexicographic order, enumerated from the
+    origin-centred box of :func:`_enumeration_halves`.  The library calls it
+    at level 0 only, for :func:`candidate_points`; refinement levels store
+    the kernel's reachable rows instead."""
     halves = _enumeration_halves(problem, bound, level)
     grids = np.meshgrid(
         *[np.arange(-h, h + 1, dtype=np.int64) for h in halves], indexing="ij"
@@ -349,6 +352,31 @@ def _sampled(level: int, indices: np.ndarray, values: np.ndarray) -> SampledFunc
     return SampledFunction(level, indices, values, IntBox.hull(indices))
 
 
+def _images(problem: Problem, rows: np.ndarray) -> np.ndarray:
+    """M k for every row k, refused with IndexOverflow when an image could
+    leave int64."""
+    matrix = problem.matrix.matrix.rows
+    # at least one, so an entry beyond int64 is refused even for k = 0
+    largest = max(1, int(np.abs(rows).max(initial=0)))
+    if largest * max(sum(map(abs, r)) for r in matrix) >= 2**62:
+        raise IndexOverflow("images M k of the stored indices do not fit in int64")
+    return rows @ np.asarray(matrix, dtype=np.int64).T
+
+
+def _with_images(
+    indices: np.ndarray, values: np.ndarray, images: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted rows of ``indices`` joined by the distinct ``images`` not
+    among them, which get the value +0.0; still in lexicographic order."""
+    _, found = _locate(indices, images)
+    extra = images[~found]
+    if len(extra) == 0:
+        return indices, values
+    rows = np.concatenate([indices, extra])
+    order = np.lexsort(rows.T[::-1])
+    return rows[order], np.concatenate([values, np.zeros(len(extra))])[order]
+
+
 def refine_values(
     problem: Problem,
     level0: Mapping[tuple[int, ...], float],
@@ -356,11 +384,20 @@ def refine_values(
 ) -> ValueTable:
     """Extend integer-point values to the lattices M^-j Z^d, j = 1..levels.
 
-    Each level applies the shared refinement kernel and stores every index
-    whose lattice point lies inside the support bound, with value zero where
-    the kernel produced none.  Values escaping the bound abort with
-    DomainTooSmall when they exceed the noise floor (that signals a bound or
-    seed inconsistency), and are discarded as roundoff dust otherwise.
+    Level 0 stores every candidate point.  Level j stores the rows the
+    shared refinement kernel reaches from the kernel rows one level down
+    whose lattice points lie inside the support bound, that is the discrete
+    attractor approximant C + sum_(i<j) M^i supp c cut to the bound, plus the
+    image M k of every row k stored at level j-1, with value +0.0 where the
+    kernel produced none, so that phi_(j-1)(k) = phi_j(M k) can be checked
+    at every stored row.  Only the kernel rows are scattered to the next
+    level.  Values escaping the bound abort with DomainTooSmall when they
+    exceed the noise floor (that signals a bound or seed inconsistency), and
+    are discarded as roundoff dust otherwise.
+
+    Every stored row lies in the bound's index box of its level, and each
+    requested level's box is checked against the enumeration cap
+    (EnumerationTooLarge) before any refinement work.
     """
     if levels < 1:
         raise ValueError("levels must be positive")
@@ -391,13 +428,9 @@ def refine_values(
                 f"value {escaped.max():.3g} escaped the support bound at "
                 f"level {level}; bound, seed, or enumeration is inconsistent"
             )
-        kept = values[inside]
-        targets = lattice_points_in_bound(problem, bound, level)
-        pos, found = _locate(indices[inside], targets)
-        values = np.zeros(len(targets))
-        values[found] = kept[pos[found]]
-        indices = targets
-        samples[level] = _sampled(level, indices, values)
+        indices, values = indices[inside], values[inside]
+        images = _images(problem, samples[level - 1].indices)
+        samples[level] = _sampled(level, *_with_images(indices, values, images))
     total = math.fsum(samples[0].values.tolist())
     return ValueTable(samples, abs(total - 1.0) <= 1e-12)
 
@@ -406,11 +439,10 @@ def refine_consistency(problem: Problem, table: ValueTable) -> float:
     """Largest |phi_j(M k) - phi_(j-1)(k)| over the indices k of each level
     below the top whose image M k is stored one level up; both sides sample
     phi at the same point M^-(j-1) k."""
-    transpose = np.asarray(problem.matrix.matrix.rows, dtype=np.int64).T
     worst = 0.0
     for level in range(1, table.max_level + 1):
         coarse, fine = table.samples[level - 1], table.samples[level]
-        pos, found = _locate(fine.indices, coarse.indices @ transpose)
+        pos, found = _locate(fine.indices, _images(problem, coarse.indices))
         if found.any():
             gap = np.abs(fine.values[pos[found]] - coarse.values[found])
             worst = max(worst, float(gap.max()))

@@ -6,6 +6,11 @@ library keeps M^-n as the integer pair (adj(M)^n, det(M)^n); these helpers
 reach the same numbers by a different road.
 
 For sample dumps: the per-row layout the column-wise writer must reproduce.
+
+For value refinement: the dict-based refinement that stores every lattice
+point of the bound's box at every level, with 0.0 where the kernel produced
+nothing.  The library stores only the reachable rows and the images M k, so
+its rows are a subset of the oracle's, with the same bits.
 """
 
 import math
@@ -13,8 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from refinable.cascade import sample_header
-from refinable.errors import SingularMatrix
+from refinable import candidate_points, lattice_points_in_bound
+from refinable.bounds import best_bound
+from refinable.cascade import refinement_step, sample_header
+from refinable.errors import DomainTooSmall, SingularMatrix
+from refinable.pointwise import _ESCAPE_RTOL
 
 
 def fraction_inverse(matrix):
@@ -105,3 +113,38 @@ def per_row_reference(matrix, blocks):
             xs = "\t".join(repr(float(x)) for x in xrow)
             lines.append(f"{level}\t{ks}\t{xs}\t{float(value)!r}")
     return "\n".join(lines) + "\n"
+
+
+def reference_refine(problem, level0, levels):
+    """Refinement with every level rebuilt as a dict keyed by index tuples."""
+    points = candidate_points(problem)
+    point_set = set(points)
+    for key in level0:
+        if tuple(key) not in point_set:
+            raise DomainTooSmall("seed outside the candidate set")
+    bound = best_bound(problem)
+    seed = {p: 0.0 for p in points}
+    seed.update({tuple(k): float(v) for k, v in level0.items()})
+    table = {0: seed}
+    indices = np.asarray(points, dtype=np.int64)
+    values = np.asarray([seed[p] for p in points])
+    for level in range(1, levels + 1):
+        indices, values = refinement_step(problem, indices, values, level)
+        coords = indices.astype(float) @ problem.matrix.inverse_power_array(level).T
+        inside = bound.contains_many(coords)
+        escaped = np.abs(values[~inside])
+        floor = _ESCAPE_RTOL * max(1.0, float(np.abs(values).max(initial=0.0)))
+        if escaped.size and float(escaped.max()) > floor:
+            raise DomainTooSmall("escaped")
+        stored = {
+            tuple(int(x) for x in idx): float(v)
+            for idx, v in zip(indices[inside], values[inside])
+        }
+        targets = [
+            tuple(row) for row in lattice_points_in_bound(problem, bound, level).tolist()
+        ]
+        level_values = {p: stored.get(p, 0.0) for p in targets}
+        table[level] = level_values
+        indices = np.asarray(targets, dtype=np.int64)
+        values = np.asarray([level_values[p] for p in targets])
+    return table

@@ -102,8 +102,9 @@ def test_refine_left_closed_sets_up_once(counted, tmp_path):
     # the norm ball is selected once, and so checked once
     assert counted["ball_bound"] == 1
     assert counted["build_transfer_matrix"] == 1
-    # one level-0 enumeration, then one per refinement level
-    assert counted["lattice_points_in_bound"] == 1 + 3
+    # one level-0 enumeration for the candidates; the refinement levels store
+    # the kernel's rows and their images and enumerate nothing
+    assert counted["lattice_points_in_bound"] == 1
 
 
 def test_repeated_calls_return_the_same_object():

@@ -291,6 +291,23 @@ class TestHugeIntegers:
         assert result.stderr.count("\n") == 1
         assert result.stdout == ""
 
+    # below two levels no power of M is formed, but m = |det M| = 10**310
+    # scales every level's values and every iterate's mass
+    @pytest.mark.parametrize("initial", ["box", "hat"])
+    @pytest.mark.parametrize("iters", [0, 1])
+    def test_shallow_cascade_with_huge_determinant(self, tmp_path, iters, initial):
+        dimension, matrix, coefficients = self.OVERSIZED["diagonal"]
+        doc = write_doc(tmp_path, "diagonal", dimension, matrix, coefficients)
+        outdir = tmp_path / "out"
+        result = run_cli("cascade", doc, "--iters", iters, "--initial", initial,
+                         "--outdir", outdir)
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: NonFiniteArithmetic: ")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
+        # refused before any level is written
+        assert not outdir.exists()
+
 
 def run_with_closed_stdout(*args):
     """Run the CLI with stdout a pipe whose reading end is already closed."""

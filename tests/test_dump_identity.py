@@ -1,9 +1,10 @@
 """The one writer on real data: the cascade and refine dumps of the five
 bundled problems equal the per-row reference byte for byte.  Their columns
 mostly repeat values (tile masks give small-integer cascade values, and
-refinement pads the enclosure with exact zeros), which is what the writer's
+refinement stores exact zeros at the images M k), which is what the writer's
 per-chunk tables of distinct values rely on; the Daubechies cascade is the
-all-distinct contrast."""
+all-distinct contrast.  Each refine level's dump is the padded oracle's dump
+less rows whose value is 0.0."""
 
 import io
 from pathlib import Path
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from refinable import (
+    ValueTable,
     export_values,
     parse_problem,
     refine_values,
@@ -20,7 +22,7 @@ from refinable import (
     write_samples,
 )
 
-from oracle import per_row_reference
+from oracle import per_row_reference, reference_refine
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 NAMES = sorted(path.stem for path in PROBLEMS.glob("*.json"))
@@ -54,6 +56,33 @@ def test_refine_dump_matches_per_row_format(problem):
     buffer = io.StringIO()
     export_values(problem, table, buffer)
     blocks = [(j, f.indices, f.values) for j, f in sorted(table.samples.items())]
-    # every refinement level pads its enclosure with exact zeros
+    # every refinement level still stores exact zeros, at the images M k the
+    # kernel did not reach and at exact-zero sums
     assert all(np.count_nonzero(f.values == 0.0) > 1 for f in table.samples.values() if f.level)
     assert_dump(problem, buffer.getvalue(), blocks)
+
+
+def is_subsequence(short, long):
+    rest = iter(long)
+    return all(line in rest for line in short)
+
+
+def test_refine_dump_is_the_padded_dump_without_zero_rows(problem):
+    """Levels 0-6: a level's dump keeps every line of the padded oracle's
+    dump whose value is not 0.0 and writes no line the oracle does not, in
+    the oracle's order."""
+    _, _, values = resolve_values(problem, left_closed=True)
+    table = refine_values(problem, values, 6)
+    oracle = reference_refine(problem, values, 6)
+    assert sorted(table.samples) == sorted(oracle) == list(range(7))
+    for level, sampled in sorted(table.samples.items()):
+        buffer = io.StringIO()
+        export_values(problem, ValueTable({level: sampled}, table.normalized), buffer)
+        got = buffer.getvalue().splitlines(keepends=True)
+        rows = oracle[level]
+        indices = np.asarray(list(rows), dtype=np.int64).reshape(len(rows), problem.dim)
+        block = [(level, indices, list(rows.values()))]
+        expected = per_row_reference(problem.matrix, block).splitlines(keepends=True)
+        nonzero = [line for line in expected if not line.endswith("\t0.0\n")]
+        assert is_subsequence(nonzero, got)
+        assert is_subsequence(got, expected)

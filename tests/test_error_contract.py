@@ -1,0 +1,163 @@
+"""The error contract on generated problems: every subcommand, run in
+process, ends with exit 0, 2 or 3, lets no exception escape, and writes at
+most one ``error: <Code>:`` line to stderr.
+
+Problems have d <= 2, matrix entries in -3..3 and |det M| >= 2, with either
+a raw rational mask summing to one or a digit-set mask: 1/m on a complete
+residue set of Z^d / M Z^d, optionally convolved with itself.
+"""
+
+import io
+import itertools
+import json
+import math
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
+
+from refinable import cli, parse_problem
+from refinable.bounds import best_bound
+from refinable.errors import RefinableError
+from refinable.pointwise import _enumeration_halves
+
+# level-0 enumeration boxes above this many points give candidate sets whose
+# dense transfer matrix is too large for a test example
+_VOLUME_LIMIT = 500
+
+ERROR_LINE = re.compile(r"^error: [A-Za-z-]+: ", re.MULTILINE)
+
+COMMANDS = [
+    ["analyze", "--format", "structured"],
+    ["bound", "--format", "structured"],
+    ["values"],
+    ["values", "--left-closed", "--format", "delimited"],
+    ["cascade", "--iters", "3", "--outdir", "{out}"],
+    ["cascade", "--iters", "2", "--initial", "hat", "--outdir", "{out}"],
+    ["refine", "--levels", "2", "--outdir", "{out}"],
+    ["refine", "--left-closed", "--levels", "2", "--outdir", "{out}"],
+    ["check", "--iters", "2", "--levels", "2"],
+]
+
+
+def determinant(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+
+
+def adjugate(rows):
+    if len(rows) == 1:
+        return [[1]]
+    (a, b), (c, d) = rows
+    return [[d, -b], [-c, a]]
+
+
+@st.composite
+def matrices(draw):
+    d = draw(st.integers(1, 2))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(abs(determinant(rows)) >= 2)
+    return rows
+
+
+@st.composite
+def raw_masks(draw, d):
+    """Rational coefficients n / den on distinct taps, summing to one."""
+    taps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1,
+                         max_size=5, unique=True))
+    den = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    nums = draw(st.lists(st.integers(-2 * den, 2 * den), min_size=len(taps) - 1,
+                         max_size=len(taps) - 1))
+    nums.append(den - sum(nums))
+    return {q: Fraction(n, den) for q, n in zip(taps, nums)}
+
+
+@st.composite
+def digit_masks(draw, rows):
+    """1/m on one representative of each class of Z^d / M Z^d, optionally
+    convolved with itself.  k and k' share a class exactly when
+    adj(M) (k - k') is divisible by det M, since M^-1 = adj(M) / det M."""
+    m = abs(determinant(rows))
+    adj = adjugate(rows)
+    classes = {}
+    for k in itertools.product(range(m), repeat=len(rows)):
+        key = tuple(sum(a * x for a, x in zip(row, k)) % m for row in adj)
+        classes.setdefault(key, []).append(k)
+    assert len(classes) == m
+    digits = [draw(st.sampled_from(members)) for _, members in sorted(classes.items())]
+    mask = {q: Fraction(1, m) for q in digits}
+    if draw(st.booleans()):
+        event("self-convolved digit mask")
+        square = {}
+        for (p, a), (q, b) in itertools.product(mask.items(), repeat=2):
+            key = tuple(x + y for x, y in zip(p, q))
+            square[key] = square.get(key, 0) + a * b
+        mask = square
+    return mask
+
+
+@st.composite
+def documents(draw):
+    rows = draw(matrices())
+    d = len(rows)
+    if draw(st.booleans()):
+        event("raw mask")
+        mask = draw(raw_masks(d))
+    else:
+        event("digit-set mask")
+        mask = draw(digit_masks(rows))
+    return json.dumps({
+        "dimension": d,
+        "matrix": rows,
+        "coefficients": [
+            {"q": list(q), "c": f"{c.numerator}/{c.denominator}"} for q, c in mask.items()
+        ],
+    })
+
+
+def small_enough(text):
+    """False when the problem's level-0 enumeration box exceeds the test's
+    limit; problems the library refuses earlier are kept."""
+    try:
+        problem = parse_problem(text)
+        bound = best_bound(problem)
+        halves = _enumeration_halves(problem, bound, 0)
+    except RefinableError:
+        return True
+    return math.prod(2 * h + 1 for h in halves) <= _VOLUME_LIMIT
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(documents())
+def test_every_subcommand_keeps_the_error_contract(text):
+    assume(small_enough(text))
+    with tempfile.TemporaryDirectory() as work:
+        doc = Path(work) / "problem.json"
+        doc.write_text(text)
+        for template in COMMANDS:
+            argv = [template[0], str(doc)] + [
+                a.replace("{out}", str(Path(work) / "out")) for a in template[1:]
+            ]
+            code, _, err = run_main(argv)
+            assert code in (0, 2, 3), (argv, err)
+            errors = ERROR_LINE.findall(err)
+            assert len(errors) <= 1, (argv, err)
+            if errors:
+                event(f"{template[0]}: {errors[0].strip()}")

@@ -22,10 +22,16 @@ from refinable import (
     refine_values,
 )
 from refinable.bounds import best_bound
-from refinable.cascade import IntBox, SampledFunction, refinement_step
-from refinable.errors import DomainTooSmall, EnumerationTooLarge, NoBoundAvailable
-from refinable.pointwise import _ESCAPE_RTOL, _enumeration_halves
+from refinable.cascade import IntBox, SampledFunction
+from refinable.errors import (
+    DomainTooSmall,
+    EnumerationTooLarge,
+    IndexOverflow,
+    NoBoundAvailable,
+)
+from refinable.pointwise import _enumeration_halves
 
+from oracle import reference_refine
 from test_kernel_writer import MATRICES, dilations
 
 # enumeration boxes above this many points make an example too slow
@@ -35,41 +41,6 @@ _VOLUME_LIMIT = 40_000
 # ---------------------------------------------------------------------------
 # the dict- and tuple-based references
 # ---------------------------------------------------------------------------
-
-def reference_refine(problem, level0, levels):
-    """Refinement with every level rebuilt as a dict keyed by index tuples."""
-    points = candidate_points(problem)
-    point_set = set(points)
-    for key in level0:
-        if tuple(key) not in point_set:
-            raise DomainTooSmall("seed outside the candidate set")
-    bound = best_bound(problem)
-    seed = {p: 0.0 for p in points}
-    seed.update({tuple(k): float(v) for k, v in level0.items()})
-    table = {0: seed}
-    indices = np.asarray(points, dtype=np.int64)
-    values = np.asarray([seed[p] for p in points])
-    for level in range(1, levels + 1):
-        indices, values = refinement_step(problem, indices, values, level)
-        coords = indices.astype(float) @ problem.matrix.inverse_power_array(level).T
-        inside = bound.contains_many(coords)
-        escaped = np.abs(values[~inside])
-        floor = _ESCAPE_RTOL * max(1.0, float(np.abs(values).max(initial=0.0)))
-        if escaped.size and float(escaped.max()) > floor:
-            raise DomainTooSmall("escaped")
-        stored = {
-            tuple(int(x) for x in idx): float(v)
-            for idx, v in zip(indices[inside], values[inside])
-        }
-        targets = [
-            tuple(row) for row in lattice_points_in_bound(problem, bound, level).tolist()
-        ]
-        level_values = {p: stored.get(p, 0.0) for p in targets}
-        table[level] = level_values
-        indices = np.asarray(targets, dtype=np.int64)
-        values = np.asarray([level_values[p] for p in targets])
-    return table
-
 
 def reference_consistency(problem, table):
     """max |phi_j(M k) - phi_(j-1)(k)| by a per-index dict lookup."""
@@ -156,6 +127,9 @@ _PROPERTY = settings(
 @_PROPERTY
 @given(refine_cases())
 def test_refine_matches_dict_reference(case):
+    """The stored rows are a subset of the padded oracle's with the same
+    bits, every oracle row left out is +0.0, and each level holds the image
+    M k of every row k one level down."""
     problem, seed, levels = case
     try:
         expected = reference_refine(problem, seed, levels)
@@ -165,7 +139,20 @@ def test_refine_matches_dict_reference(case):
             refine_values(problem, seed, levels)
         return
     table = refine_values(problem, seed, levels)
-    same_levels(table.levels, expected)
+    assert sorted(table.samples) == sorted(expected)
+    got = table.levels
+    for level, oracle in expected.items():
+        stored = got[level]
+        # a subsequence of the oracle's lexicographic order
+        assert list(stored) == [k for k in oracle if k in stored]
+        assert np.array_equal(
+            bits([stored[k] for k in stored]), bits([oracle[k] for k in stored])
+        )
+        left_out = [v for k, v in oracle.items() if k not in stored]
+        assert np.all(bits(left_out) == bits(0.0))
+        if level:
+            images = {problem.matrix.matrix.apply(k) for k in got[level - 1]}
+            assert images <= set(stored)
     for level, sampled in table.samples.items():
         assert sampled.level == level
         assert sampled.indices.dtype == np.int64
@@ -197,6 +184,14 @@ def test_enumeration_rows_sorted_and_distinct(case):
         assert bool(np.all(bound.contains_many(coords)))
         if level == 0:
             assert candidate_points(problem) == tuple(as_tuples)
+
+
+def test_refine_refuses_images_beyond_int64():
+    # a zero-radius mask keeps every level's bound box tiny, so only the
+    # images M k meet the matrix entry beyond int64
+    problem = problem_from_data(1, [[10**100]], [{"q": [0], "c": "1/1"}])
+    with pytest.raises(IndexOverflow):
+        refine_values(problem, {(0,): 1.0}, 1)
 
 
 def test_transfer_rejects_empty_points(haar_problem):
