@@ -94,8 +94,9 @@ class NormalizationImpossible(RefinableError):
 
 
 class EnumerationTooLarge(RefinableError):
-    """A level's lattice enumeration box holds more points than the
-    enumeration cap allows."""
+    """A lattice enumeration exceeds its cap: a level's index box or the
+    residue representative box holds more points than the enumeration cap,
+    or the candidate set is too large for a dense transfer matrix."""
 
 
 class IndexOverflow(RefinableError):

@@ -1,19 +1,19 @@
 """Exact and floating-point analysis of small integer matrices.
 
-Integer inputs keep the expensive questions cheap: determinants, adjugates
-and matrix powers are computed exactly in ``int`` arithmetic, and the inverse
-power M^-n is kept as the integer pair (adj(M)^n, det(M)^n) and rounded once
-per entry where a float is needed.  ``fractions.Fraction`` appears only in
-the characteristic polynomial and its exact root checks, so the only floating
-point in the pipeline is root finding, operator norms, and the Jordan
-transform.
+Integer inputs keep the expensive questions cheap: determinants, adjugates,
+matrix powers and the characteristic polynomial are computed exactly in
+``int`` arithmetic, and the inverse power M^-n is kept as the integer pair
+(adj(M)^n, det(M)^n) and rounded once per entry where a float is needed.
+The characteristic polynomial is split into squarefree factors over the
+integers, so every eigenvalue carries its exact multiplicity and no
+tolerance decides which roots coincide; the only floating point in the
+pipeline is root finding, operator norms, and the Jordan transform.
 """
-
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -33,7 +33,6 @@ MAX_DIM = 8
 # Numerical classification thresholds.  Eigenvalues are roots of an exact
 # integer polynomial, so these only have to absorb root-finder noise.
 REALNESS_RTOL = 1e-8
-CLUSTER_RTOL = 1e-6
 RANK_RTOL = 1e-9
 DILATION_TOL = 1e-8
 CONDITION_LIMIT = 1e8
@@ -238,101 +237,98 @@ def operator_norm(matrix: IntMatrix | np.ndarray, denominator: int = 1) -> float
 
 def characteristic_polynomial(matrix: IntMatrix) -> tuple[int, ...]:
     """Exact monic characteristic polynomial, highest degree first, via the
-    Faddeev-LeVerrier recursion carried out in rational arithmetic."""
+    Faddeev-LeVerrier recursion carried out in integers: M_k = M (M_{k-1} +
+    c_{k-1} I) from M_0 = 0 and c_0 = 1, and c_k = -trace(M_k) / k, a
+    division that is exact for an integer matrix and is checked."""
     d = matrix.dim
-    a = [[Fraction(x) for x in row] for row in matrix.rows]
-
-    def trace(m):
-        return sum(m[i][i] for i in range(d))
-
-    def matmul(x, y):
-        return [
-            [sum(x[i][k] * y[k][j] for k in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-
-    coeffs = [Fraction(1)]
-    mk = [row[:] for row in a]
-    c = -trace(mk)
-    coeffs.append(c)
-    for k in range(2, d + 1):
-        shifted = [
-            [mk[i][j] + (c if i == j else 0) for j in range(d)] for i in range(d)
-        ]
-        mk = matmul(a, shifted)
-        c = -trace(mk) / k
-        coeffs.append(c)
-    out = []
-    for coeff in coeffs:
-        if coeff.denominator != 1:
+    coeffs = [1]
+    mk = [[0] * d for _ in range(d)]
+    for k in range(1, d + 1):
+        for i in range(d):
+            mk[i][i] += coeffs[-1]
+        mk = [[sum(x * y for x, y in zip(row, col)) for col in zip(*mk)] for row in matrix.rows]
+        c, rem = divmod(-sum(mk[i][i] for i in range(d)), k)
+        if rem:
             raise ArithmeticError("characteristic polynomial must be integral")
-        out.append(int(coeff))
-    return tuple(out)
+        coeffs.append(c)
+    return tuple(coeffs)
 
 
-def _poly_derivative(p: list[Fraction]) -> list[Fraction]:
+# Polynomials over Z are coefficient lists, highest degree first, with no
+# leading zeros; the zero polynomial is [0].
+
+def _derivative(p: list[int]) -> list[int]:
     n = len(p) - 1
     return [c * (n - i) for i, c in enumerate(p[:-1])]
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    i = 0
-    while i < len(p) - 1 and p[i] == 0:
-        i += 1
-    return p[i:]
+def _trim(p: list[int]) -> list[int]:
+    while len(p) > 1 and p[0] == 0:
+        p = p[1:]
+    return p or [0]
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = num[:]
-    quot: list[Fraction] = []
-    dn = len(den) - 1
-    lead = den[0]
-    while len(num) - 1 >= dn:
-        factor = num[0] / lead
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content, with a positive leading coefficient."""
+    content = math.gcd(*p) or 1
+    return [c // (content if p[0] > 0 else -content) for c in p]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A remainder of lead(b)^e a on division by b, for some e >= 0."""
+    r = a
+    while len(r) >= len(b) and r != [0]:
+        pad = [0] * (len(r) - len(b))
+        r = _trim([b[0] * x - r[0] * y for x, y in zip(r[1:], b[1:] + pad)])
+    return r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with a positive leading coefficient, by the primitive
+    remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b != [0]:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
+
+
+def _exact_quotient(num: list[int], den: list[int]) -> list[int]:
+    """num / den for a primitive den that divides num: such a quotient is
+    integral (Gauss's lemma), so every step divides exactly, and this is
+    checked."""
+    quot: list[int] = []
+    while len(num) >= len(den):
+        factor, rem = divmod(num[0], den[0])
+        if rem:
+            raise ArithmeticError("polynomial division is not exact")
         quot.append(factor)
-        for i in range(len(den)):
-            num[i] -= factor * den[i]
-        num.pop(0)
-    rem = _poly_trim(num) if num else [Fraction(0)]
-    return (quot if quot else [Fraction(0)]), rem
+        num = [x - factor * y for x, y in zip(num[1:], den[1:])] + num[len(den):]
+    if any(num):
+        raise ArithmeticError("polynomial division leaves a remainder")
+    return quot or [0]
 
 
-def _poly_monic(p: list[Fraction]) -> list[Fraction]:
-    lead = p[0]
-    return [c / lead for c in p]
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while not (len(b) == 1 and b[0] == 0):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return _poly_monic(a)
-
-
-def _squarefree_factors(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's algorithm: exact squarefree decomposition p = prod f_i^i."""
-    dp = _poly_derivative(p)
-    g = _poly_gcd(p, dp)
-    if len(g) == 1:
-        return [(_poly_monic(p), 1)]
-    w, _ = _poly_divmod(p, g)
-    y, _ = _poly_divmod(dp, g)
-    # z = y - w', with the shorter coefficient list left-padded
-    dw = _poly_derivative(w)
+def _minus_derivative(y: list[int], w: list[int]) -> list[int]:
+    """y - w', the shorter list left-padded."""
+    dw = _derivative(w)
     pad = len(y) - len(dw)
-    z = _poly_trim([y[i] - (dw[i - pad] if i >= pad else Fraction(0)) for i in range(len(y))])
+    return _trim([c - (dw[i - pad] if i >= pad else 0) for i, c in enumerate(y)])
+
+
+def _squarefree_factors(p: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm over Z[x]: p = lead * prod f_i^i with each f_i
+    primitive and squarefree, found with pseudo-remainder gcds and exact
+    quotients; step 0 divides out gcd(p, p').  For a monic p every f_i is
+    monic."""
+    w, z = p, _derivative(p)
     factors = []
-    i = 1
+    i = 0
     while len(w) > 1:
-        gi = _poly_gcd(w, z)
-        if len(gi) > 1:
+        gi = _gcd(w, z)
+        if i and len(gi) > 1:
             factors.append((gi, i))
-        w, _ = _poly_divmod(w, gi)
-        y, _ = _poly_divmod(z, gi)
-        dw = _poly_derivative(w)
-        pad = len(y) - len(dw)
-        z = _poly_trim([y[i2] - (dw[i2 - pad] if i2 >= pad else Fraction(0)) for i2 in range(len(y))])
+        w = _exact_quotient(w, gi)
+        z = _minus_derivative(_exact_quotient(z, gi), w)
         i += 1
     return factors
 
@@ -344,30 +340,33 @@ def _poly_eval(coeffs: list[float], z: complex) -> complex:
     return acc
 
 
-def _exact_value(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _is_root(coeffs: list[int], x: int) -> bool:
+    acc = 0
     for c in coeffs:
         acc = acc * x + c
-    return acc
+    return acc == 0
 
 
-def _roots_of_squarefree(coeffs: list[Fraction]) -> list[complex]:
-    """Roots of a squarefree polynomial: companion-matrix start values
-    polished by Newton iteration against the exact coefficients.
+def _roots_of_squarefree(coeffs: list[int]) -> list[complex]:
+    """Roots of a squarefree integer polynomial: companion-matrix start
+    values polished by Newton iteration against the exact coefficients.
 
+    Every float is a correctly rounded int quotient: the coefficients of the
+    monic polynomial as ``c / lead``, its derivative as ``c (n - i) / lead``.
     Near-integer roots are confirmed by exact evaluation and snapped, so
     integer eigenvalues come out exactly (for a monic integer polynomial
     every rational root is an integer).
     """
-    cf = [float(c) for c in coeffs]
-    if len(cf) == 2:
-        root = -coeffs[1] / coeffs[0]
-        return [complex(float(root))]
+    lead = coeffs[0]
+    n = len(coeffs) - 1
+    if n == 1:
+        return [complex(-coeffs[1] / lead)]
+    cf = [c / lead for c in coeffs]
     try:
         start = np.roots(cf)
     except np.linalg.LinAlgError as exc:
         raise RootFindingFailure(str(exc)) from exc
-    dcf = [float(c) for c in _poly_derivative(coeffs)]
+    dcf = [c * (n - i) / lead for i, c in enumerate(coeffs[:-1])]
     roots = []
     for z0 in start:
         z = complex(z0)
@@ -391,11 +390,8 @@ def _roots_of_squarefree(coeffs: list[Fraction]) -> list[complex]:
                     f"Newton polish did not converge within {NEWTON_MAX_ITER} iterations"
                 )
         if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
-            nearest = Fraction(round(z.real))
-            if (
-                abs(z.real - nearest) <= 1e-6 * max(1.0, abs(z))
-                and _exact_value(coeffs, nearest) == 0
-            ):
+            nearest = round(z.real)
+            if abs(z.real - nearest) <= 1e-6 * max(1.0, abs(z)) and _is_root(coeffs, nearest):
                 z = complex(float(nearest))
         roots.append(z)
     return roots
@@ -404,12 +400,13 @@ def _roots_of_squarefree(coeffs: list[Fraction]) -> list[complex]:
 def eigenvalues(matrix: IntMatrix) -> Spectrum:
     """All complex roots of the exact characteristic polynomial.
 
-    The polynomial is made squarefree first (exact gcd arithmetic), so
-    multiple eigenvalues are found with their exact multiplicities and do
-    not suffer the usual accuracy collapse of clustered roots.  Raises
+    The polynomial is split into squarefree factors first (exact integer
+    gcds), so multiple eigenvalues are found with their exact
+    multiplicities, as one float repeated, and do not suffer the usual
+    accuracy collapse of clustered roots.  Raises
     NonFiniteArithmetic when the polynomial or its roots overflow a float.
     """
-    coeffs = [Fraction(c) for c in characteristic_polynomial(matrix)]
+    coeffs = list(characteristic_polynomial(matrix))
     values: list[complex] = []
     try:
         for factor, multiplicity in _squarefree_factors(coeffs):
@@ -451,19 +448,6 @@ def _spectrum_verdict(spec: Spectrum) -> DilationCheck:
 # real Jordan structure
 # ---------------------------------------------------------------------------
 
-def _cluster_real(values: Sequence[float], counts: Sequence[int]) -> list[tuple[float, int]]:
-    pairs = sorted(zip(values, counts))
-    clusters: list[list[float | int]] = []
-    for value, count in pairs:
-        if clusters and abs(value - clusters[-1][0]) <= CLUSTER_RTOL * max(1.0, abs(value)):
-            total = clusters[-1][1] + count
-            clusters[-1][0] = (clusters[-1][0] * clusters[-1][1] + value * count) / total
-            clusters[-1][1] = total
-        else:
-            clusters.append([value, count])
-    return [(float(v), int(c)) for v, c in clusters]
-
-
 def _null_basis(matrix: np.ndarray, tol: float) -> np.ndarray:
     _, sing, vt = np.linalg.svd(matrix)
     nullity = int(np.sum(sing <= tol))
@@ -498,21 +482,16 @@ def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure
     d = matrix.dim
     a = matrix.as_array()
 
-    unique_vals: list[float] = []
-    unique_counts: list[int] = []
-    for z in spec.eigenvalues:
-        for i, u in enumerate(unique_vals):
-            if z.real == u:
-                unique_counts[i] += 1
-                break
-        else:
-            unique_vals.append(z.real)
-            unique_counts.append(1)
-    clusters = _cluster_real(unique_vals, unique_counts)
+    # a root of multiplicity k is the same float k times, so distinct
+    # eigenvalues are told apart by exact equality
+    distinct = [
+        (lam, len(list(group)))
+        for lam, group in itertools.groupby(sorted(z.real for z in spec.eigenvalues))
+    ]
 
     blocks: list[tuple[float, int]] = []
     columns: list[np.ndarray] = []
-    for lam, mult in clusters:
+    for lam, mult in distinct:
         nmat = a - lam * np.eye(d)
         base_scale = np.linalg.norm(nmat, 2)
         kernels: list[np.ndarray] = [np.zeros((d, 0))]

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyMask,
+    EnumerationTooLarge,
     IndexOverflow,
     MaskSumViolation,
     NotDilation,
@@ -40,6 +41,8 @@ from .linalg import MAX_DIM, DilationMatrix, IntMatrix
 
 MASK_SUM_TOL = 1e-12
 COSET_UNIFORM_TOL = 1e-10
+# the most lattice points one box scan may visit, here and in pointwise
+_ENUMERATION_CAP = 5_000_000
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+/[1-9]\d*$")
 
@@ -314,6 +317,11 @@ def _coset_representatives(matrix: DilationMatrix) -> np.ndarray:
     # |s adj(M) p| <= d * volume on the box, so int64 cannot wrap below this
     if d * volume >= 2**63:
         raise IndexOverflow("residue representative box does not fit in int64")
+    if volume > _ENUMERATION_CAP:
+        raise EnumerationTooLarge(
+            f"residue representative box of {volume} points exceeds the cap "
+            f"of {_ENUMERATION_CAP}"
+        )
     sign = 1 if matrix.determinant > 0 else -1
     scaled = np.asarray(matrix.adjugate.rows, dtype=np.int64).T * sign
     found = []

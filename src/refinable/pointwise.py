@@ -39,12 +39,13 @@ from .errors import (
     NormalizationImpossible,
     NoUnitEigenvalue,
 )
-from .mask import Problem, per_problem
+from .mask import _ENUMERATION_CAP, Problem, per_problem
 
 UNIT_EIGENVALUE_TOL = 1e-9
 STRUCTURAL_ZERO_TOL = 1e-10
 TRANSFER_ITERATIONS = 200
-_ENUMERATION_CAP = 5_000_000
+# the most candidate points a dense N x N transfer matrix may have (34 MB)
+_TRANSFER_CAP = 2048
 _ESCAPE_RTOL = 1e-9
 
 
@@ -150,11 +151,17 @@ def build_transfer_matrix(
     holds m c_q at the column of M k_i - q for every mask tap q whose point
     is a candidate, one array lookup per tap, so the cost is O(N |mask|) up
     to a sort.  Each entry gets at most one tap, since q = M k_i - k_j is
-    fixed by (i, j)."""
+    fixed by (i, j).  Raises EnumerationTooLarge when N exceeds the cap on
+    the dense matrix, before that matrix is allocated."""
     pts = tuple(tuple(int(x) for x in p) for p in points)
     if not pts:
         raise ValueError("points must be nonempty")
     n, d = len(pts), problem.dim
+    if n > _TRANSFER_CAP:
+        raise EnumerationTooLarge(
+            f"transfer matrix over {n} candidate points exceeds the cap of "
+            f"{_TRANSFER_CAP}"
+        )
     rows = problem.matrix.matrix.rows
     # before m = |det M| is rounded: entries this large can overflow a float
     if max(abs(x) for r in rows for x in r) >= 2**62:

@@ -52,13 +52,34 @@ def skew_doc(tmp_path):
     )
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "refinable", *map(str, args)],
         capture_output=True,
         text=True,
         env=ENV,
+        timeout=timeout,
     )
+
+
+# two distinct eigenvalues 1e-6 apart in relative terms, and |det| about 1e12
+CLOSE_EIGENVALUES = {
+    "diagonal": [[1000000, 0], [0, 1000001]],
+    "triangular": [[1000000, 1], [0, 1000001]],
+}
+
+
+def close_doc(tmp_path, matrix):
+    return write_doc(
+        tmp_path, "close", 2, matrix,
+        [{"q": [0, 0], "c": "1/2"}, {"q": [1, 0], "c": "1/2"}],
+    )
+
+
+def assert_one_error_line(result, code):
+    assert result.returncode == 3
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {code}: ")
 
 
 class TestAnalyze:
@@ -83,6 +104,12 @@ class TestBound:
         assert "1d: half-widths (3.0)" in result.stdout
         assert "norm-ball: radius 3.0" in result.stdout
         assert "selected: norm-ball" in result.stdout
+
+    @pytest.mark.parametrize("name", sorted(CLOSE_EIGENVALUES))
+    def test_close_eigenvalues_keep_the_jordan_parallelepiped(self, tmp_path, name):
+        result = run_cli("bound", close_doc(tmp_path, CLOSE_EIGENVALUES[name]))
+        assert result.returncode == 0
+        assert "jordan-parallelepiped" in result.stdout
 
 
 class TestValues:
@@ -213,6 +240,22 @@ class TestErrorPaths:
         result = run_cli("values", doc)
         assert result.returncode == 3
         assert "error: NoUnitEigenvalue:" in result.stderr
+
+    @pytest.mark.parametrize("command", ["analyze", "check"])
+    def test_huge_residue_box_is_refused(self, tmp_path, command):
+        # the representative box of Z^2 / M Z^2 holds about 1e12 points
+        doc = close_doc(tmp_path, CLOSE_EIGENVALUES["diagonal"])
+        assert_one_error_line(run_cli(command, doc, timeout=30), "EnumerationTooLarge")
+
+    @pytest.mark.parametrize("command", ["values", "refine", "check"])
+    def test_oversized_transfer_matrix_is_refused(self, tmp_path, command):
+        # 6,657 candidate points: a 354 MB dense transfer matrix
+        doc = write_doc(
+            tmp_path, "wide", 2, [[-3, 3], [-1, 0]],
+            [{"q": [q, 0], "c": "1/3"} for q in range(3)],
+        )
+        args = ["--outdir", tmp_path] if command == "refine" else []
+        assert_one_error_line(run_cli(command, doc, *args, timeout=30), "EnumerationTooLarge")
 
 
 class TestNonFiniteArithmetic:

@@ -244,6 +244,15 @@ class TestJordanStructure:
         structure = real_jordan_structure(IntMatrix.from_rows([[2, 0], [1, 2]]))
         assert structure.blocks == ((2.0, 2),)
 
+    @pytest.mark.parametrize(
+        "rows", [[[1000000, 0], [0, 1000001]], [[1000000, 1], [0, 1000001]]]
+    )
+    def test_close_distinct_eigenvalues_stay_apart(self, rows):
+        # the two eigenvalues differ by 1e-6 relative; exact multiplicities
+        # keep them as two blocks
+        structure = real_jordan_structure(IntMatrix.from_rows(rows))
+        assert structure.blocks == ((1000000.0, 1), (1000001.0, 1))
+
     def test_complex_spectrum_rejected(self):
         with pytest.raises(ComplexSpectrum):
             real_jordan_structure(IntMatrix.from_rows([[1, 1], [-1, 1]]))
