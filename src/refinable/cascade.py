@@ -43,7 +43,8 @@ _INDEX_LIMIT = 2**62
 
 @dataclass(frozen=True)
 class IntBox:
-    """Axis-aligned box of integer lattice indices, inclusive on both ends."""
+    """Axis-aligned box of integer lattice indices, inclusive on both ends:
+    the explicit target box of a cascade step."""
 
     lo: tuple[int, ...]
     hi: tuple[int, ...]
@@ -54,30 +55,11 @@ class IntBox:
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise ValueError("box must be nonempty")
 
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-    @staticmethod
-    def hull(indices: np.ndarray) -> "IntBox":
-        if len(indices) == 0:
-            d = indices.shape[1] if indices.ndim == 2 else 1
-            return IntBox((0,) * d, (0,) * d)
-        lo = tuple(int(x) for x in indices.min(axis=0))
-        hi = tuple(int(x) for x in indices.max(axis=0))
-        return IntBox(lo, hi)
-
     @staticmethod
     def centered(half_widths: Sequence[int]) -> "IntBox":
         return IntBox(
             tuple(-int(h) for h in half_widths),
             tuple(int(h) for h in half_widths),
-        )
-
-    def union(self, other: "IntBox") -> "IntBox":
-        return IntBox(
-            tuple(min(a, b) for a, b in zip(self.lo, other.lo)),
-            tuple(max(a, b) for a, b in zip(self.hi, other.hi)),
         )
 
     def contains_indices(self, indices: np.ndarray) -> np.ndarray:
@@ -103,13 +85,13 @@ def initial_support_radius(kind: InitialFunctionKind, dim: int) -> float:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Values of a level-n iterate on the lattice M^-n Z^d, keyed by the
-    integer index k; indices are kept lexicographically sorted."""
+    """Values of a level-n function on the lattice M^-n Z^d: row i of
+    ``indices`` is the integer index k of the point M^-n k and ``values[i]``
+    is the value there; rows are kept lexicographically sorted."""
 
     level: int
     indices: np.ndarray
     values: np.ndarray
-    domain_box: IntBox
 
     def __post_init__(self) -> None:
         if self.level < 0:
@@ -118,37 +100,19 @@ class SampledFunction:
             raise ValueError("indices and values must align")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
-        if len(self.indices) and not bool(
-            np.all(self.domain_box.contains_indices(self.indices))
-        ):
-            raise ValueError("stored indices must lie inside the domain box")
-
-    @property
-    def dim(self) -> int:
-        return self.indices.shape[1]
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
         return dict(zip(map(tuple, self.indices.tolist()), self.values.tolist()))
 
 
-def initial_samples(
-    kind: InitialFunctionKind,
-    problem: Problem,
-    box: IntBox | None = None,
-) -> SampledFunction:
+def initial_samples(problem: Problem) -> SampledFunction:
     """Level-0 samples of the initial function at integer points.
 
     Both starting functions vanish at every nonzero integer and equal one at
-    the origin, so the sample set is a single unit spike; the optional box
-    only widens the stored domain.
+    the origin, so the sample set is the same single unit spike for either.
     """
     d = problem.dim
-    indices = np.zeros((1, d), dtype=np.int64)
-    values = np.ones(1)
-    domain = IntBox((0,) * d, (0,) * d)
-    if box is not None:
-        domain = domain.union(box)
-    return SampledFunction(0, indices, values, domain)
+    return SampledFunction(0, np.zeros((1, d), dtype=np.int64), np.ones(1))
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +200,16 @@ def cascade_step(
 ) -> SampledFunction:
     """Advance the cascade one level.
 
-    Without an explicit ``domain_box`` the output box is the exact hull of
-    the reachable indices.  With one, any nonzero sample falling outside it
-    raises DomainTooSmall instead of being truncated silently; indices whose
-    value is exactly zero may be dropped because the recurrence cannot
-    create mass outside the reachable set.
+    Without an explicit ``domain_box`` every reachable index is kept.  With
+    one, any nonzero sample falling outside it raises DomainTooSmall instead
+    of being truncated silently; indices whose value is exactly zero may be
+    dropped because the recurrence cannot create mass outside the reachable
+    set.
     """
     indices, values = refinement_step(
         problem, sampled.indices, sampled.values, sampled.level + 1
     )
-    if domain_box is None:
-        box = IntBox.hull(indices)
-    else:
+    if domain_box is not None:
         inside = domain_box.contains_indices(indices)
         if np.any(values[~inside] != 0.0):
             worst = np.max(np.abs(values[~inside]))
@@ -256,8 +218,7 @@ def cascade_step(
                 f"target box; enlarge the domain"
             )
         indices, values = indices[inside], values[inside]
-        box = domain_box
-    return SampledFunction(sampled.level + 1, indices, values, box)
+    return SampledFunction(sampled.level + 1, indices, values)
 
 
 def level_domain_box(problem: Problem, kind: InitialFunctionKind, level: int) -> IntBox:
@@ -302,7 +263,7 @@ def run_cascade(
     for level in range(1, levels):
         _index_power(problem, level)
     _float_m(problem)
-    result = [initial_samples(kind, problem)]
+    result = [initial_samples(problem)]
     for level in range(1, levels + 1):
         box = level_domain_box(problem, kind, level) if boxes == "bound" else None
         result.append(cascade_step(problem, result[-1], box))
@@ -319,10 +280,6 @@ class RealBox:
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
 
 
 def empirical_support(

@@ -31,21 +31,15 @@ from . import bounds as bounds_mod
 from . import cascade as cascade_mod
 from . import pointwise as pointwise_mod
 from .errors import (
-    ComplexSpectrum,
-    ContractionSearchExhausted,
     DimensionMismatch,
-    DomainTooSmall,
     EmptyMask,
-    IllConditionedTransform,
     MaskSumViolation,
-    NoBoundAvailable,
     NormNotContractive,
     NormalizationImpossible,
     NotDilation,
     NoUnitEigenvalue,
     ParseError,
     RefinableError,
-    RootFindingFailure,
 )
 from .mask import Problem, coset_sum_report, parse_problem
 
@@ -55,17 +49,6 @@ _INPUT_ERRORS = (
     NotDilation,
     MaskSumViolation,
     EmptyMask,
-)
-_NUMERICAL_ERRORS = (
-    NoUnitEigenvalue,
-    ComplexSpectrum,
-    IllConditionedTransform,
-    NormNotContractive,
-    ContractionSearchExhausted,
-    NormalizationImpossible,
-    DomainTooSmall,
-    NoBoundAvailable,
-    RootFindingFailure,
 )
 
 LEVEL_CAP = cascade_mod.DEFAULT_LEVEL_CAP
@@ -473,9 +456,6 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except RefinableError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

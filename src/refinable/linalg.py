@@ -206,27 +206,23 @@ def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 # norms
 # ---------------------------------------------------------------------------
 
-def operator_norm(matrix: IntMatrix | np.ndarray, denominator: int = 1) -> float:
+def operator_norm(matrix: IntMatrix, denominator: int = 1) -> float:
     """Largest singular value of ``matrix / denominator``: the square root of
     the top eigenvalue of its Gram matrix, from a symmetric eigensolver.
 
-    An integer matrix has its Gram matrix formed exactly in Python ints and
-    each entry rounded once, as ``g / denominator**2`` (int true division is
-    correctly rounded), which keeps the result deterministic and accurate to
-    the eigensolver's precision.  M^-n is ``operator_norm(*inverse_power(n))``.
+    The Gram matrix is formed exactly in Python ints and each entry rounded
+    once, as ``g / denominator**2`` (int true division is correctly
+    rounded), which keeps the result deterministic and accurate to the
+    eigensolver's precision.  M^-n is ``operator_norm(*inverse_power(n))``.
     """
-    if isinstance(matrix, IntMatrix):
-        rows = matrix.rows
-        n = len(rows)
-        scale = denominator * denominator
-        gram = np.empty((n, n), dtype=float)
-        for i in range(n):
-            for j in range(i, n):
-                g = sum(a * b for a, b in zip(rows[i], rows[j]))
-                gram[i, j] = gram[j, i] = g / scale
-    else:
-        a = np.asarray(matrix, dtype=float) / denominator
-        gram = a @ a.T
+    rows = matrix.rows
+    n = len(rows)
+    scale = denominator * denominator
+    gram = np.empty((n, n), dtype=float)
+    for i in range(n):
+        for j in range(i, n):
+            g = sum(a * b for a, b in zip(rows[i], rows[j]))
+            gram[i, j] = gram[j, i] = g / scale
     top = max(np.linalg.eigvalsh(gram).max(), 0.0)
     return math.sqrt(top)
 
@@ -651,8 +647,8 @@ class DilationMatrix:
     # Powers are memoized per exponent: the cascade, the refinement, the
     # enumeration and the writers all ask for the same few levels.
     @cached_property
-    def _powers(self) -> dict[int, IntMatrix]:
-        return {}
+    def _powers(self) -> list[IntMatrix]:
+        return [integer_power(self.matrix, 0)]
 
     @cached_property
     def _adjugate_powers(self) -> list[IntMatrix]:
@@ -663,10 +659,14 @@ class DilationMatrix:
         return {}
 
     def power(self, n: int) -> IntMatrix:
-        """Exact M^n (n >= 0)."""
-        if n not in self._powers:
-            self._powers[n] = integer_power(self.matrix, n)
-        return self._powers[n]
+        """Exact M^n (n >= 0); each exponent not seen before costs one
+        integer product with M."""
+        if n < 0:
+            raise ValueError("use DilationMatrix.inverse_power for negative powers")
+        powers = self._powers
+        while len(powers) <= n:
+            powers.append(_matmul(powers[-1], self.matrix))
+        return powers[n]
 
     def adjugate_power(self, n: int) -> IntMatrix:
         """Exact adj(M)^n (n >= 0); each exponent not seen before costs one

@@ -27,7 +27,7 @@ from .bounds import (
     best_bound,
     enclosing_integer_box,
 )
-from .cascade import IntBox, SampledFunction, refinement_step, write_rows
+from .cascade import SampledFunction, refinement_step, write_rows
 from .errors import (
     ContractionSearchExhausted,
     DomainTooSmall,
@@ -355,10 +355,6 @@ class ValueTable:
         return {j: f.as_dict() for j, f in self.samples.items()}
 
 
-def _sampled(level: int, indices: np.ndarray, values: np.ndarray) -> SampledFunction:
-    return SampledFunction(level, indices, values, IntBox.hull(indices))
-
-
 def _images(problem: Problem, rows: np.ndarray) -> np.ndarray:
     """M k for every row k, refused with IndexOverflow when an image could
     leave int64."""
@@ -423,7 +419,7 @@ def refine_values(
     for level in range(1, levels + 1):
         _enumeration_halves(problem, bound, level)
     indices = np.asarray(points, dtype=np.int64).reshape(len(points), problem.dim)
-    samples = {0: _sampled(0, indices, values)}
+    samples = {0: SampledFunction(0, indices, values)}
     for level in range(1, levels + 1):
         indices, values = refinement_step(problem, indices, values, level)
         coords = indices.astype(float) @ problem.matrix.inverse_power_array(level).T
@@ -437,7 +433,7 @@ def refine_values(
             )
         indices, values = indices[inside], values[inside]
         images = _images(problem, samples[level - 1].indices)
-        samples[level] = _sampled(level, *_with_images(indices, values, images))
+        samples[level] = SampledFunction(level, *_with_images(indices, values, images))
     total = math.fsum(samples[0].values.tolist())
     return ValueTable(samples, abs(total - 1.0) <= 1e-12)
 
@@ -530,7 +526,7 @@ def read_values(stream: IO[str]) -> ValueTable:
         indices = indices[order]
         if np.any(np.all(indices[1:] == indices[:-1], axis=1)):
             raise ValueError(f"level {level} repeats an index")
-        samples[level] = _sampled(level, indices, value_col[at_level][order])
+        samples[level] = SampledFunction(level, indices, value_col[at_level][order])
     level0 = samples.get(0)
     normalized = (
         level0 is not None and abs(math.fsum(level0.values.tolist()) - 1.0) <= 1e-12

@@ -41,8 +41,10 @@ CONTRACTIVE_FIXTURES = [
 class TestInitialSamples:
     @pytest.mark.parametrize("kind", [BOX, HAT])
     def test_unit_spike_at_origin(self, quincunx_problem, kind):
-        f0 = initial_samples(kind, quincunx_problem)
-        assert f0.as_dict() == {(0, 0): 1.0}
+        # the cascade reads the start function only at integer points, where
+        # both kinds are the unit spike
+        (f0,) = run_cascade(quincunx_problem, kind, 0)
+        assert f0.as_dict() == initial_samples(quincunx_problem).as_dict() == {(0, 0): 1.0}
         assert f0.level == 0
 
     def test_tensor_hat_vanishes_at_nonzero_integers(self):
@@ -51,7 +53,7 @@ class TestInitialSamples:
 
     @pytest.mark.parametrize("kind", [BOX, HAT])
     def test_total_mass_is_one(self, haar_problem, kind):
-        f0 = initial_samples(kind, haar_problem)
+        (f0,) = run_cascade(haar_problem, kind, 0)
         assert float(np.sum(f0.values)) == 1.0
 
     def test_support_radius(self):
@@ -62,7 +64,7 @@ class TestInitialSamples:
 
 class TestCascadeStep:
     def test_haar_single_step_by_hand(self, haar_problem):
-        f1 = cascade_step(haar_problem, initial_samples(BOX, haar_problem))
+        f1 = cascade_step(haar_problem, initial_samples(haar_problem))
         assert f1.as_dict() == {(0,): 1.0, (1,): 1.0}
 
     def test_single_coefficient_mask_is_growing_spike(self):
@@ -71,7 +73,7 @@ class TestCascadeStep:
         assert levels[3].as_dict() == {(0,): 8.0}
 
     def test_summation_identity(self, d4_problem):
-        f = initial_samples(BOX, d4_problem)
+        f = initial_samples(d4_problem)
         for _ in range(4):
             nxt = cascade_step(d4_problem, f)
             assert float(np.sum(nxt.values)) == pytest.approx(
@@ -80,7 +82,7 @@ class TestCascadeStep:
             f = nxt
 
     def test_explicit_box_too_small_raises(self, haar_problem):
-        f0 = initial_samples(BOX, haar_problem)
+        f0 = initial_samples(haar_problem)
         with pytest.raises(DomainTooSmall):
             cascade_step(haar_problem, f0, IntBox((0,), (0,)))
 
@@ -111,15 +113,15 @@ class TestEmpiricalSupport:
         assert support.hi == (0.875,)
 
     def test_all_zero_gives_none(self, haar_problem):
-        f0 = initial_samples(BOX, haar_problem)
+        f0 = initial_samples(haar_problem)
         zeroed = cascade_step(
             haar_problem,
-            type(f0)(0, f0.indices, np.zeros_like(f0.values), f0.domain_box),
+            type(f0)(0, f0.indices, np.zeros_like(f0.values)),
         )
         assert empirical_support(haar_problem, zeroed) is None
 
     def test_spike_gives_degenerate_box(self, haar_problem):
-        f0 = initial_samples(BOX, haar_problem)
+        f0 = initial_samples(haar_problem)
         support = empirical_support(haar_problem, f0)
         assert support.lo == support.hi == (0.0,)
 
@@ -218,7 +220,7 @@ class TestFrequencyDomain:
 
 class TestSharedKernel:
     def test_cascade_step_uses_refinement_step_bitwise(self, d4_problem):
-        f1 = cascade_step(d4_problem, initial_samples(BOX, d4_problem))
+        f1 = cascade_step(d4_problem, initial_samples(d4_problem))
         f2 = cascade_step(d4_problem, f1)
         idx, val = refinement_step(d4_problem, f1.indices, f1.values, 2)
         assert np.array_equal(idx, f2.indices)

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from refinable import problem_from_data
-from refinable.cascade import IntBox, SampledFunction
+from refinable.cascade import SampledFunction
 from refinable.errors import IndexOverflow
 from refinable.linalg import DilationMatrix, IntMatrix, adjugate, determinant, is_dilation
 from refinable.mask import COSET_UNIFORM_TOL, _coset_representatives, coset_sum_report
@@ -139,7 +139,7 @@ def tables(draw):
         keys = sorted(draw(st.lists(index, min_size=0, max_size=40, unique=True)))
         indices = np.asarray(keys, dtype=np.int64).reshape(len(keys), d)
         values = np.asarray(draw(st.lists(value, min_size=len(keys), max_size=len(keys))))
-        samples[level] = SampledFunction(level, indices, values, IntBox.hull(indices))
+        samples[level] = SampledFunction(level, indices, values)
         ks = draw(st.lists(index, min_size=1, max_size=6))
         inv = problem.matrix.inverse_power_array(level)
         probes[level] = [tuple((np.asarray(k, dtype=float) @ inv.T).tolist()) for k in ks]

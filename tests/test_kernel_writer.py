@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from refinable import cli, pointwise, problem_from_data
 from refinable.cascade import _WRITE_CHUNK, refinement_step, sample_header, write_rows
 from refinable.errors import EnumerationTooLarge, IndexOverflow, RefinableError
-from refinable.linalg import DilationMatrix, IntMatrix, is_dilation
+from refinable.linalg import DilationMatrix, IntMatrix, integer_power, is_dilation
 
 from oracle import per_row_reference
 
@@ -272,6 +272,14 @@ def test_powers_are_memoized_and_read_only():
     adj, det = matrix.inverse_power(2)
     np.testing.assert_array_equal(array, np.asarray(adj.rows) / det)
     assert not matrix.inverse_power_array(0).flags.writeable
+
+
+def test_powers_requested_out_of_order_are_exact():
+    matrix = DilationMatrix.from_rows([[1, -1, 2], [0, 2, 1], [3, 0, -2]])
+    for n in (7, 3, 12, 0, 12, 5):
+        assert matrix.power(n) == integer_power(matrix.matrix, n)
+    with pytest.raises(ValueError):
+        matrix.power(-1)
 
 
 # ---------------------------------------------------------------------------

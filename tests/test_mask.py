@@ -2,8 +2,11 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from refinable import (
     Mask,
@@ -21,6 +24,7 @@ from refinable.errors import (
     ParseError,
 )
 from conftest import D4_COEFFS
+from test_congruences import dilation_rows
 
 
 def doc(dimension, matrix, coefficients):
@@ -128,6 +132,44 @@ class TestRoundTrip:
         text = serialize_problem(d4_problem)
         again = parse_problem(text)
         assert again.mask.coefficients == d4_problem.mask.coefficients
+
+
+@st.composite
+def documents(draw):
+    """A problem document on a random dilation (d <= 3) whose mask sums to
+    one, in exact "p/q" or int coefficients or in floats, with some explicit
+    zero coefficients among the records."""
+    d, rows = draw(dilation_rows())
+    vector = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    taps = draw(st.lists(vector, min_size=1, max_size=8, unique_by=tuple))
+    if draw(st.booleans()):
+        denominator = draw(st.integers(1, 30))
+        nums = [draw(st.integers(-20, 20)) for _ in taps[1:]]
+        coeffs = [Fraction(n, denominator) for n in nums]
+        coeffs.insert(0, 1 - sum(coeffs, Fraction(0)))
+        values = [
+            c.numerator if c.denominator == 1 and draw(st.booleans())
+            else f"{c.numerator}/{c.denominator}"
+            for c in coeffs
+        ]
+    else:
+        floats = st.floats(-4.0, 4.0, allow_nan=False, width=64)
+        values = [draw(st.one_of(st.just(0.0), st.just(-0.0), floats)) for _ in taps[1:]]
+        values.insert(0, 1.0 - math.fsum(values))
+    return json.dumps({
+        "dimension": d,
+        "matrix": rows,
+        "coefficients": [{"q": q, "c": c} for q, c in zip(taps, values)],
+    })
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(documents())
+def test_serialize_parse_round_trip(text):
+    problem = parse_problem(text)
+    assert parse_problem(serialize_problem(problem)) == problem
 
 
 class TestRadius:

@@ -2,6 +2,7 @@
 lookup, transfer assembly by lookup, and the export/read round trip, each
 against the dict- and tuple-based algorithm it replaced."""
 
+import dataclasses
 import io
 import math
 
@@ -22,7 +23,7 @@ from refinable import (
     refine_values,
 )
 from refinable.bounds import best_bound
-from refinable.cascade import IntBox, SampledFunction
+from refinable.cascade import SampledFunction
 from refinable.errors import (
     DomainTooSmall,
     EnumerationTooLarge,
@@ -206,7 +207,7 @@ def test_transfer_rejects_empty_points(haar_problem):
 
 def sampled(level, rows, values, d):
     indices = np.asarray(rows, dtype=np.int64).reshape(len(rows), d)
-    return SampledFunction(level, indices, np.asarray(values, dtype=float), IntBox.hull(indices))
+    return SampledFunction(level, indices, np.asarray(values, dtype=float))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -247,3 +248,37 @@ def test_read_sorts_rows_and_rejects_repeats():
     assert not table.normalized
     with pytest.raises(ValueError, match="repeats"):
         read_values(io.StringIO(header + rows[0] + "\n" + rows[0] + "\n"))
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_read_rejects_non_finite_values(text):
+    header = "level\tk0\tx0\tvalue\n"
+    with pytest.raises(ValueError, match="^values must be finite$"):
+        read_values(io.StringIO(header + f"0\t0\t0.0\t{text}\n"))
+
+
+class TestSampledFunction:
+    def test_rejects_negative_level(self):
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            SampledFunction(-1, np.zeros((1, 1), dtype=np.int64), np.ones(1))
+
+    @pytest.mark.parametrize(
+        "indices, values",
+        [
+            (np.zeros((2, 1), dtype=np.int64), np.ones(1)),
+            (np.zeros(2, dtype=np.int64), np.ones(2)),
+        ],
+    )
+    def test_rejects_misaligned_arrays(self, indices, values):
+        with pytest.raises(ValueError, match="indices and values must align"):
+            SampledFunction(0, indices, values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="values must be finite"):
+            SampledFunction(2, np.array([[0], [1]], dtype=np.int64), np.array([1.0, bad]))
+
+    def test_holds_level_indices_and_values(self):
+        f = sampled(1, [(0, 1), (2, -3)], [0.5, 0.25], 2)
+        assert [field.name for field in dataclasses.fields(f)] == ["level", "indices", "values"]
+        assert f.as_dict() == {(0, 1): 0.5, (2, -3): 0.25}
