@@ -28,7 +28,6 @@ from .bounds import (
 )
 from .cascade import (
     InitialFunctionKind,
-    IntBox,
     RealBox,
     SampledFunction,
     cascade_step,
@@ -36,12 +35,12 @@ from .cascade import (
     empirical_support,
     fourier_truncated_product,
     initial_samples,
-    initial_support_radius,
     m0_eval,
     refinement_step,
     run_cascade,
     write_samples,
 )
+from .checks import Check, run_checks
 from .linalg import (
     DilationCheck,
     DilationMatrix,

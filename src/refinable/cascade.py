@@ -22,15 +22,9 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainTooSmall,
-    IndexOverflow,
-    NonFiniteArithmetic,
-    NormNotContractive,
-)
+from .errors import IndexOverflow, NonFiniteArithmetic
 from .linalg import DilationMatrix, IntMatrix
 from .mask import Mask, Problem
-from .bounds import finite_level_ball
 
 DEFAULT_SUPPORT_EPS = 1e-12
 DEFAULT_LEVEL_CAP = 12
@@ -38,49 +32,19 @@ _INDEX_LIMIT = 2**62
 
 
 # ---------------------------------------------------------------------------
-# integer boxes and sampled functions
+# start functions and sampled functions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntBox:
-    """Axis-aligned box of integer lattice indices, inclusive on both ends:
-    the explicit target box of a cascade step."""
-
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.lo) != len(self.hi):
-            raise ValueError("lo and hi must have equal length")
-        if any(a > b for a, b in zip(self.lo, self.hi)):
-            raise ValueError("box must be nonempty")
-
-    @staticmethod
-    def centered(half_widths: Sequence[int]) -> "IntBox":
-        return IntBox(
-            tuple(-int(h) for h in half_widths),
-            tuple(int(h) for h in half_widths),
-        )
-
-    def contains_indices(self, indices: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lo, dtype=np.int64)
-        hi = np.asarray(self.hi, dtype=np.int64)
-        return np.all((indices >= lo) & (indices <= hi), axis=1)
-
 
 class InitialFunctionKind(enum.Enum):
     """Starting functions for the cascade; both are piecewise continuous,
-    compactly supported, and sum to one over integer translates."""
+    compactly supported, and sum to one over integer translates.
+
+    The choice changes no output: the lattice cascade reads the start
+    function only at integer points, where both kinds are the unit spike.
+    """
 
     INDICATOR_BOX = "box"
     TENSOR_HAT = "hat"
-
-
-def initial_support_radius(kind: InitialFunctionKind, dim: int) -> float:
-    """Radius of a ball containing the initial function's support."""
-    if kind is InitialFunctionKind.INDICATOR_BOX:
-        return 0.5 * math.sqrt(dim)
-    return float(math.sqrt(dim))
 
 
 @dataclass(frozen=True)
@@ -193,70 +157,25 @@ def refinement_step(
     return out, sums
 
 
-def cascade_step(
-    problem: Problem,
-    sampled: SampledFunction,
-    domain_box: IntBox | None = None,
-) -> SampledFunction:
-    """Advance the cascade one level.
-
-    Without an explicit ``domain_box`` every reachable index is kept.  With
-    one, any nonzero sample falling outside it raises DomainTooSmall instead
-    of being truncated silently; indices whose value is exactly zero may be
-    dropped because the recurrence cannot create mass outside the reachable
-    set.
-    """
+def cascade_step(problem: Problem, sampled: SampledFunction) -> SampledFunction:
+    """Advance the cascade one level, keeping every reachable index."""
     indices, values = refinement_step(
         problem, sampled.indices, sampled.values, sampled.level + 1
     )
-    if domain_box is not None:
-        inside = domain_box.contains_indices(indices)
-        if np.any(values[~inside] != 0.0):
-            worst = np.max(np.abs(values[~inside]))
-            raise DomainTooSmall(
-                f"nonzero sample (|value| up to {worst:.3g}) outside the "
-                f"target box; enlarge the domain"
-            )
-        indices, values = indices[inside], values[inside]
     return SampledFunction(sampled.level + 1, indices, values)
-
-
-def level_domain_box(problem: Problem, kind: InitialFunctionKind, level: int) -> IntBox:
-    """Integer box certified to contain the level-n support: the image under
-    M^n of the finite-level support ball, rounded outward."""
-    if level == 0:
-        return IntBox((0,) * problem.dim, (0,) * problem.dim)
-    radius = finite_level_ball(
-        problem, initial_support_radius(kind, problem.dim), level
-    )
-    power = problem.matrix.power(level).as_array()
-    halves = [
-        int(math.ceil(radius * float(np.linalg.norm(power[i])) + 1e-9))
-        for i in range(problem.dim)
-    ]
-    return IntBox.centered(halves)
 
 
 def run_cascade(
     problem: Problem,
     kind: InitialFunctionKind = InitialFunctionKind.INDICATOR_BOX,
     levels: int = 6,
-    boxes: str = "auto",
 ) -> list[SampledFunction]:
-    """Run the cascade and return the iterates for levels 0..levels.
-
-    ``boxes="auto"`` tracks the exact reachable support; ``boxes="bound"``
-    precomputes every domain box from the finite-level ball radii (requires
-    ||M^-1|| < 1) so that the no-truncation guarantee is exercised.
-    """
+    """Run the cascade and return the iterates for levels 0..levels, each on
+    its exact reachable support.  ``kind`` changes nothing: both start
+    functions give the same unit spike at level 0 (see
+    :class:`InitialFunctionKind`)."""
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    if boxes not in ("auto", "bound"):
-        raise ValueError("boxes must be 'auto' or 'bound'")
-    if boxes == "bound" and problem.matrix.inverse_norm >= 1.0:
-        raise NormNotContractive(
-            "bound-derived domain boxes need ||M^-1|| < 1; use boxes='auto'"
-        )
     # refuse a run whose lattice indices overflow before any level is spent,
     # and one whose m = |det M| overflows a float, which every level's values
     # and the mass of every iterate, level 0 included, are scaled by
@@ -264,9 +183,8 @@ def run_cascade(
         _index_power(problem, level)
     _float_m(problem)
     result = [initial_samples(problem)]
-    for level in range(1, levels + 1):
-        box = level_domain_box(problem, kind, level) if boxes == "bound" else None
-        result.append(cascade_step(problem, result[-1], box))
+    for _ in range(levels):
+        result.append(cascade_step(problem, result[-1]))
     return result
 
 

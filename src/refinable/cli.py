@@ -22,22 +22,18 @@ import functools
 import json
 import os
 import sys
-import warnings
 from pathlib import Path
-
-import numpy as np
 
 from . import bounds as bounds_mod
 from . import cascade as cascade_mod
+from . import checks as checks_mod
 from . import pointwise as pointwise_mod
 from .errors import (
     DimensionMismatch,
     EmptyMask,
     MaskSumViolation,
     NormNotContractive,
-    NormalizationImpossible,
     NotDilation,
-    NoUnitEigenvalue,
     ParseError,
     RefinableError,
 )
@@ -73,6 +69,14 @@ def _load_problem(path: str) -> Problem:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_problem(text)
+
+
+def _require_range(flag: str, value: float, low: int, cap: int | None = None) -> None:
+    """Refuse a flag value below ``low`` (or NaN) or above the level ``cap``."""
+    if not value >= low:
+        raise ParseError(f"{flag} must be at least {low}, got {value}")
+    if cap is not None and value > cap:
+        raise ParseError(f"{flag} above the level cap {cap}")
 
 
 def _emit(data: dict, table_lines: list[str], output_format: str) -> None:
@@ -206,8 +210,8 @@ def _cmd_bound(args) -> int:
 
 def _cmd_cascade(args) -> int:
     problem = _load_problem(args.problem)
-    if args.iters > LEVEL_CAP:
-        raise ParseError(f"--iters above the level cap {LEVEL_CAP}")
+    _require_range("--iters", args.iters, 0, LEVEL_CAP)
+    _require_range("--eps", args.eps, 0)
     kind = (
         cascade_mod.InitialFunctionKind.INDICATOR_BOX
         if args.initial == "box"
@@ -270,8 +274,7 @@ def _cmd_values(args) -> int:
 
 def _cmd_refine(args) -> int:
     problem = _load_problem(args.problem)
-    if args.levels > LEVEL_CAP:
-        raise ParseError(f"--levels above the level cap {LEVEL_CAP}")
+    _require_range("--levels", args.levels, 1, LEVEL_CAP)
     _, notes, values = pointwise_mod.resolve_values(problem, args.left_closed)
     if values is None:
         print(
@@ -297,86 +300,14 @@ def _cmd_refine(args) -> int:
 
 def _cmd_check(args) -> int:
     problem = _load_problem(args.problem)
-    failures = 0
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        suffix = f" ({detail})" if detail else ""
-        print(f"{'PASS' if ok else 'FAIL'} {name}{suffix}")
-
-    coeff_sum = sum(problem.mask.coefficients.values())
-    report("mask-sum", abs(coeff_sum - 1.0) <= 1e-10, f"sum {_fmt(coeff_sum)}")
-    report("dilation", bool(problem.matrix.dilation_check))
-    report(
-        "coset-uniformity",
-        True,
-        "uniform" if coset_sum_report(problem).uniform else "not uniform (reported only)",
-    )
-
-    best = bounds_mod.best_bound(problem)
-    report("bound-contains-origin", best.contains((0.0,) * problem.dim))
-    try:
-        ball = bounds_mod.ball_bound(problem)
-        general = bounds_mod.general_ball_bound(problem)
-        report(
-            "bound-consistency",
-            abs(ball.radius - general.radius) <= 1e-12 * max(1.0, ball.radius),
-        )
-    except NormNotContractive:
-        report("bound-consistency", True, "not contractive; skipped")
-
-    iterates = cascade_mod.run_cascade(
-        problem, cascade_mod.InitialFunctionKind.INDICATOR_BOX, args.iters
-    )
-    masses = [cascade_mod.discrete_mass(problem, f) for f in iterates]
-    drift = max(abs(x - masses[0]) for x in masses)
-    report("cascade-mass", drift <= 1e-12 * max(1.0, abs(masses[0])), f"drift {drift:.3g}")
-
-    box = bounds_mod.enclosing_integer_box(best)
-    final = iterates[-1]
-    support = cascade_mod.empirical_support(problem, final, args.eps)
-    if support is None:
-        report("cascade-containment", True, "no samples above eps")
-    else:
-        inv_power = problem.matrix.inverse_power_array(final.level)
-        cell = np.abs(inv_power).sum(axis=1)
-        ok = all(
-            lo >= -(h + c) and hi <= h + c
-            for lo, hi, h, c in zip(support.lo, support.hi, box.half_widths, cell)
-        )
-        report("cascade-containment", ok)
-
-    transfer = pointwise_mod.transfer_matrix(problem)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = pointwise_mod.integer_values(transfer)
-    except (NoUnitEigenvalue, NormalizationImpossible) as exc:
-        report("transfer-eigen-residual", False, type(exc).__name__)
-        result = None
-    if result is not None:
-        residual = max(
-            float(np.max(np.abs(transfer.matrix @ row - row)))
-            / max(float(np.max(np.abs(row))), 1e-300)
-            for row in result.basis
-        )
-        report("transfer-eigen-residual", residual <= 1e-8, f"residual {residual:.3g}")
-
-    if result is not None and result.normalized:
-        table = pointwise_mod.refine_values(problem, result.values, args.levels)
-        worst = pointwise_mod.refine_consistency(problem, table)
-        report("refine-consistency", worst <= 1e-12, f"max deviation {worst:.3g}")
-        probes = [tuple(float(x) for x in p) for p in transfer.points]
-        deviations = pointwise_mod.periodization_check(problem, table, 0, probes)
-        worst_dev = max(d for _, _, d in deviations)
-        report("partition-of-unity", worst_dev <= 1e-8, f"max deviation {worst_dev:.3g}")
-    else:
-        report("refine-consistency", True, "non-unique values; skipped")
-        report("partition-of-unity", True, "non-unique values; skipped")
-
-    return 3 if failures else 0
+    _require_range("--iters", args.iters, 0, LEVEL_CAP)
+    _require_range("--levels", args.levels, 1, LEVEL_CAP)
+    _require_range("--eps", args.eps, 0)
+    checks = checks_mod.run_checks(problem, args.iters, args.levels, args.eps)
+    for check in checks:
+        suffix = f" ({check.detail})" if check.detail else ""
+        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}{suffix}")
+    return 0 if all(check.passed for check in checks) else 3
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=6, help="number of levels (default 6)")
     p.add_argument(
         "--initial", choices=("box", "hat"), default="box",
-        help="initial function (default box)",
+        help="initial function (default box); both kinds give the same "
+             "output, since the cascade reads it only at integer points",
     )
     p.add_argument("--eps", type=float, default=cascade_mod.DEFAULT_SUPPORT_EPS,
                    help="support threshold (default 1e-12)")

@@ -81,7 +81,8 @@ class NoBoundAvailable(RefinableError):
 # --- lattice evaluation ------------------------------------------------------
 
 class DomainTooSmall(RefinableError):
-    """Sample values escaped the stored domain; the caller must enlarge it."""
+    """Refinement left its domain: a seed value lies outside the candidate
+    set, or a value above the noise floor escaped the support bound."""
 
 
 class NoUnitEigenvalue(RefinableError):

@@ -24,7 +24,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 

@@ -23,7 +23,6 @@ from .bounds import (
     Ball,
     Box,
     SupportBound,
-    TransformedBox,
     best_bound,
     enclosing_integer_box,
 )

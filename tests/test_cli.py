@@ -241,6 +241,32 @@ class TestErrorPaths:
         assert result.returncode == 3
         assert "error: NoUnitEigenvalue:" in result.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["cascade", "--iters", "-1"],
+            ["cascade", "--iters", "13"],
+            ["cascade", "--eps", "-1"],
+            ["refine", "--levels", "0"],
+            ["refine", "--levels", "13"],
+            ["check", "--iters", "-1"],
+            ["check", "--iters", "13"],
+            ["check", "--levels", "0"],
+            ["check", "--levels", "13"],
+            ["check", "--eps", "-1"],
+            ["check", "--eps", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_flag_is_one_parse_error(self, d4_doc, tmp_path, args):
+        outdir = [] if args[0] == "check" else ["--outdir", tmp_path]
+        result = run_cli(args[0], d4_doc, *args[1:], *outdir)
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ParseError: ")
+        assert "Traceback" not in result.stderr
+        assert not list(tmp_path.glob("*.tsv"))
+
     @pytest.mark.parametrize("command", ["analyze", "check"])
     def test_huge_residue_box_is_refused(self, tmp_path, command):
         # the representative box of Z^2 / M Z^2 holds about 1e12 points
