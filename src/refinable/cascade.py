@@ -22,13 +22,18 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import IndexOverflow, NonFiniteArithmetic
+from .errors import EnumerationTooLarge, IndexOverflow, NonFiniteArithmetic
 from .linalg import DilationMatrix, IntMatrix
 from .mask import Mask, Problem
 
 DEFAULT_SUPPORT_EPS = 1e-12
 DEFAULT_LEVEL_CAP = 12
 _INDEX_LIMIT = 2**62
+# The most rows one cascade step may scatter, |mask| x input samples.  The
+# kernel peaks at about 82 bytes per scattered row in 2-D (tracemalloc, on
+# shear2d), so this bounds a level near 1.4 GB; shear2d's level 12 scatters
+# 4^11 x 4 = 2^24 rows, the most of any bundled problem up to level 12.
+_SCATTER_CAP = 2**24
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +163,17 @@ def refinement_step(
 
 
 def cascade_step(problem: Problem, sampled: SampledFunction) -> SampledFunction:
-    """Advance the cascade one level, keeping every reachable index."""
+    """Advance the cascade one level, keeping every reachable index.  A level
+    that would scatter more than ``_SCATTER_CAP`` rows is refused with
+    EnumerationTooLarge before the kernel allocates anything."""
+    taps = len(problem.mask.coefficients)
+    scatter = taps * len(sampled.values)
+    if scatter > _SCATTER_CAP:
+        raise EnumerationTooLarge(
+            f"cascade level {sampled.level + 1} would scatter {scatter} rows "
+            f"({taps} taps x {len(sampled.values)} samples), above the cap of "
+            f"{_SCATTER_CAP}"
+        )
     indices, values = refinement_step(
         problem, sampled.indices, sampled.values, sampled.level + 1
     )
@@ -269,30 +284,44 @@ def sample_header(dim: int) -> str:
     return f"level\t{ks}\t{xs}\tvalue"
 
 
-# Rows formatted per write.  Larger chunks are no faster, and from about 4096
-# rows on their transient strings raise the process's peak memory.
+# Rows formatted per write.  On the cascade-deep benchmark (2-core Xeon,
+# Python 3.11), chunks of 256 to 4096 rows gave the same wall time (0.072 to
+# 0.074 s), and peak RSS read 49.52, 49.61, 49.74 and 52.71 MB at 256, 1024,
+# 4096 and 16384 rows.
 _WRITE_CHUNK = 1024
 
 
 def _formatted(column: np.ndarray) -> list[str]:
-    """``repr`` of every entry of an int64 or float64 column, formatting each
-    distinct value once and gathering the strings by index.  Values are told
-    apart by their bits, so 0.0 and -0.0 keep their own strings."""
-    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    table = np.array(list(map(repr, distinct.view(column.dtype).tolist())), dtype=object)
-    return table[inverse].tolist()
+    """``repr`` of every entry of an int64 or float64 column.
+
+    orjson writes the whole column with the shortest round-trip digits, the
+    same digits as ``repr``, so only the cells whose notation can differ go
+    through ``repr``: non-finite values, which orjson writes as ``null``, and
+    nonzero magnitudes outside [1e-4, 1e16), where ``repr`` writes an
+    exponent such as ``1e+16`` or ``1e-05``.
+    """
+    import orjson  # imported at the first dump, so other commands skip it
+
+    if not len(column):
+        return []
+    column = np.ascontiguousarray(column)  # orjson reads contiguous arrays only
+    text = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    cells = text[1:-1].split(",")
+    if column.dtype.kind == "f":
+        size = np.abs(column)
+        fixed = ((size >= 1e-4) & (size < 1e16)) | (column == 0)
+        odd = np.flatnonzero(~fixed)
+        for i, x in zip(odd.tolist(), column[odd].tolist()):
+            cells[i] = repr(x)
+    return cells
 
 
-def _chunk_rows(
-    prefix: Iterable[str], indices: np.ndarray, coords: np.ndarray, values: np.ndarray
-) -> list[str]:
+def _chunk_rows(prefix: Iterable[str], columns: list[np.ndarray]) -> list[str]:
     """The rows of one chunk and a last empty entry, so that joining them with
     newlines ends the chunk with one.  The column strings die on return,
     before the rows are joined."""
-    columns = [_formatted(column) for column in indices.T]
-    columns += [_formatted(column) for column in coords.T]
-    columns.append(_formatted(values))
-    return [*map("\t".join, zip(prefix, *columns)), ""]
+    cells = [_formatted(column) for column in columns]
+    return [*map("\t".join, zip(prefix, *cells)), ""]
 
 
 def write_rows(
@@ -306,20 +335,19 @@ def write_rows(
     The coordinates of a level are x = k (M^-n)^T, computed once for the
     whole level; floats use shortest round-trip formatting.  Rows are joined
     a chunk at a time, so no level's text is held in memory at once, and
-    within a chunk each distinct value of a column is formatted once.
+    each column of a chunk is formatted in one call.
     """
     stream.write(sample_header(matrix.dim) + "\n")
     for level, indices, values in levels:
-        # the tables tell values apart by their 8-byte patterns
         indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
         coords = indices.astype(float) @ matrix.inverse_power_array(level).T
+        columns = [*indices.T, *coords.T, np.asarray(values, dtype=np.float64)]
         prefix = itertools.repeat(str(level))
         for start in range(0, len(values), _WRITE_CHUNK):
             part = slice(start, start + _WRITE_CHUNK)
             # no name holds a chunk's rows, so they die before the next chunk
             stream.write("\n".join(
-                _chunk_rows(prefix, indices[part], coords[part], values[part])
+                _chunk_rows(prefix, [column[part] for column in columns])
             ))
 
 

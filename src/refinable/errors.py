@@ -97,7 +97,8 @@ class NormalizationImpossible(RefinableError):
 class EnumerationTooLarge(RefinableError):
     """A lattice enumeration exceeds its cap: a level's index box or the
     residue representative box holds more points than the enumeration cap,
-    or the candidate set is too large for a dense transfer matrix."""
+    the candidate set is too large for a dense transfer matrix, or a cascade
+    level would scatter more rows than the cascade's cap."""
 
 
 class IndexOverflow(RefinableError):

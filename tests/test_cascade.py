@@ -24,6 +24,9 @@ from refinable import (
     run_cascade,
     write_samples,
 )
+from refinable import cascade as cascade_mod
+from refinable.errors import EnumerationTooLarge
+
 BOX = InitialFunctionKind.INDICATOR_BOX
 HAT = InitialFunctionKind.TENSOR_HAT
 
@@ -78,6 +81,20 @@ class TestCascadeStep:
                 d4_problem.m * float(np.sum(f.values)), rel=1e-14
             )
             f = nxt
+
+    def test_scatter_cap_is_checked_before_the_kernel(self, d4_problem, monkeypatch):
+        level3 = run_cascade(d4_problem, BOX, 3)[3]
+        scatter = 4 * len(level3.values)
+        monkeypatch.setattr(cascade_mod, "_SCATTER_CAP", scatter)
+        assert cascade_step(d4_problem, level3).level == 4
+
+        def no_kernel(*args):
+            raise AssertionError("the kernel ran before the scatter cap was checked")
+
+        monkeypatch.setattr(cascade_mod, "_SCATTER_CAP", scatter - 1)
+        monkeypatch.setattr(cascade_mod, "refinement_step", no_kernel)
+        with pytest.raises(EnumerationTooLarge, match=f"would scatter {scatter} rows"):
+            cascade_step(d4_problem, level3)
 
 
 class TestMassConservation:

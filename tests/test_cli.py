@@ -283,6 +283,30 @@ class TestErrorPaths:
         args = ["--outdir", tmp_path] if command == "refine" else []
         assert_one_error_line(run_cli(command, doc, *args, timeout=30), "EnumerationTooLarge")
 
+    @pytest.mark.parametrize("command", ["cascade", "check"])
+    def test_oversized_cascade_level_is_refused_before_it_allocates(self, tmp_path, command):
+        resource = pytest.importorskip("resource")
+        # a tile with 512^n samples at level n: level 3 would scatter
+        # 512 x 512^2 = 134,217,728 rows, about 2 GB of keys and weights alone
+        doc = write_doc(
+            tmp_path, "tile512", 1, [[512]],
+            [{"q": [q], "c": "1/512"} for q in range(512)],
+        )
+        args = ["--outdir", tmp_path / "dumps"] if command == "cascade" else []
+        result = subprocess.run(
+            [sys.executable, "-m", "refinable", command, str(doc), "--iters", "3",
+             *map(str, args)],
+            capture_output=True,
+            text=True,
+            env={**ENV, "OPENBLAS_NUM_THREADS": "1"},
+            timeout=60,
+            # 1 GiB of address space: an allocating level ends in MemoryError
+            # instead of exhausting the host's memory
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert_one_error_line(result, "EnumerationTooLarge")
+        assert not list(tmp_path.glob("dumps/*.tsv"))
+
 
 class TestNonFiniteArithmetic:
     """m c_q overflows to inf for the mask {0: 1e308, 1: -1e308, 2: 1},

@@ -3,6 +3,7 @@ for oversized enumerations and int64 index overflow."""
 
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from refinable import cli, pointwise, problem_from_data
-from refinable.cascade import _WRITE_CHUNK, refinement_step, sample_header, write_rows
+from refinable.cascade import (
+    _WRITE_CHUNK, _formatted, refinement_step, sample_header, write_rows,
+)
 from refinable.errors import EnumerationTooLarge, IndexOverflow, RefinableError
 from refinable.linalg import DilationMatrix, IntMatrix, integer_power, is_dilation
 
@@ -118,24 +121,49 @@ MATRICES = {
     2: DilationMatrix.from_rows([[0, 1], [3, 1]]),
     3: DilationMatrix.from_rows([[1, 1, 0], [0, 1, 1], [2, 0, 1]]),
 }
-EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1.5, 1 / 3]
+# non-finite values, and the neighbours of the ends of the range in which
+# orjson and repr share a notation, besides zeros, subnormals and extremes
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1.5, 1 / 3,
+    math.nan, math.inf, -math.inf, 1e15, 2.0**53 + 2,
+    *(float(np.nextafter(x, to)) for x in (1e-4, 1e16) for to in (0.0, math.inf)),
+    1e-4, 1e16,
+]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_writer_edge_cases(d):
     matrix = MATRICES[d]
     big = 2**62 - 1
-    indices = np.array(
-        [[big] * d, [-big] * d, [0] * d, [1] * d, [-(2**53) - 1] * d,
-         [7, -3, 11][:d], [2**40] * d, [-1] * d],
-        dtype=np.int64,
-    )
+    rows = [[big] * d, [-big] * d, [0] * d, [1] * d, [-(2**53) - 1] * d,
+            [7, -3, 11][:d], [2**40] * d, [-1] * d]
+    indices = np.resize(np.array(rows, dtype=np.int64), (len(EDGE_VALUES), d))
     blocks = [
         (0, np.zeros((0, d), dtype=np.int64), np.zeros(0)),
         (1, indices, np.asarray(EDGE_VALUES)),
         (4, indices[::-1].copy(), -np.asarray(EDGE_VALUES)),
     ]
     assert written(matrix, blocks) == per_row_reference(matrix, blocks)
+
+
+def test_formatted_matches_repr_across_exponent_range():
+    # every power of 2 and of 10 of float64 with its neighbours within 50 ulps,
+    # of both signs: about 550 k values, subnormals and both zeros among them
+    bases = np.concatenate([
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        10.0 ** np.arange(-323, 309),
+    ])
+    bits = bases.view(np.int64)[:, None] + np.arange(-50, 51)
+    inf_bits = np.array(math.inf).view(np.int64)
+    column = np.clip(bits, 0, inf_bits - 1).ravel().view(np.float64)
+    column = np.concatenate([column, -column])
+    assert np.count_nonzero(column == 0) and np.count_nonzero(column < 5e-308)
+    assert _formatted(column) == list(map(repr, column.tolist()))
+
+
+def test_formatted_empty_column_is_empty():
+    assert _formatted(np.zeros(0)) == []
+    assert _formatted(np.zeros(0, dtype=np.int64)) == []
 
 
 def test_writer_header_only_when_empty():
