@@ -41,6 +41,29 @@ EQUAL_TWO_TOL = 1e-12
 _MEMBERSHIP_TOL = 1e-9
 
 
+def _row_norms(pts: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every row of ``(n, d)`` points, bit-equal to
+    ``np.linalg.norm(pts, axis=1)``.  numpy adds a row of fewer than eight
+    squares left to right, which one pass per column repeats; from eight on
+    it adds them pairwise, so those rows are left to numpy."""
+    d = pts.shape[1]
+    if d >= 8:
+        return np.linalg.norm(pts, axis=1)
+    total = pts[:, 0] * pts[:, 0]
+    for i in range(1, d):
+        total += pts[:, i] * pts[:, i]
+    return np.sqrt(total, out=total)
+
+
+def _within(ys: np.ndarray, half_widths: tuple[float, ...]) -> np.ndarray:
+    """Rows of ``(n, d)`` coordinates with |y_i| <= h_i for every i, up to
+    the membership tolerance, tested one column at a time."""
+    inside = np.ones(len(ys), dtype=bool)
+    for i, h in enumerate(half_widths):
+        inside &= np.abs(ys[:, i]) <= h + _MEMBERSHIP_TOL * max(1.0, h)
+    return inside
+
+
 @dataclass(frozen=True)
 class Ball:
     """Euclidean ball centered at the origin."""
@@ -55,7 +78,7 @@ class Ball:
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        return np.linalg.norm(pts, axis=1) <= self.radius + _MEMBERSHIP_TOL * max(1.0, self.radius)
+        return _row_norms(pts) <= self.radius + _MEMBERSHIP_TOL * max(1.0, self.radius)
 
 
 @dataclass(frozen=True)
@@ -75,9 +98,7 @@ class Box:
         return bool(np.all(np.abs(x) <= h + _MEMBERSHIP_TOL * np.maximum(1.0, h)))
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        h = np.asarray(self.half_widths, dtype=float)
-        return np.all(np.abs(pts) <= h + _MEMBERSHIP_TOL * np.maximum(1.0, h), axis=1)
+        return _within(np.asarray(points, dtype=float), self.half_widths)
 
 
 @dataclass(frozen=True)
@@ -100,8 +121,7 @@ class TransformedBox:
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         ys = np.asarray(points, dtype=float) @ self.transform_inverse.T
-        h = np.asarray(self.half_widths, dtype=float)
-        return np.all(np.abs(ys) <= h + _MEMBERSHIP_TOL * np.maximum(1.0, h), axis=1)
+        return _within(ys, self.half_widths)
 
 
 SupportBound = Ball | Box | TransformedBox

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
@@ -29,10 +28,11 @@ from .mask import Mask, Problem
 DEFAULT_SUPPORT_EPS = 1e-12
 DEFAULT_LEVEL_CAP = 12
 _INDEX_LIMIT = 2**62
-# The most rows one cascade step may scatter, |mask| x input samples.  The
-# kernel peaks at about 82 bytes per scattered row in 2-D (tracemalloc, on
-# shear2d), so this bounds a level near 1.4 GB; shear2d's level 12 scatters
-# 4^11 x 4 = 2^24 rows, the most of any bundled problem up to level 12.
+# The most rows one cascade or refinement step may scatter, |mask| x input
+# samples.  The kernel peaks at about 43 bytes per scattered row in 2-D
+# (tracemalloc, 45.1 MB on shear2d's level 10), so this bounds a level near
+# 0.72 GB; shear2d's level 12 scatters 4^11 x 4 = 2^24 rows, the most of any
+# bundled problem up to level 12.
 _SCATTER_CAP = 2**24
 
 
@@ -106,6 +106,45 @@ def _float_m(problem: Problem) -> float:
         raise NonFiniteArithmetic("m = |det M| overflows a float") from None
 
 
+def _column_hull(rows: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per-coordinate least and greatest entries of nonempty ``(n, d)``
+    rows, as Python ints."""
+    columns = [rows[:, i] for i in range(rows.shape[1])]
+    return [int(c.min()) for c in columns], [int(c.max()) for c in columns]
+
+
+def _row_keys(rows: np.ndarray, lo: Sequence[int], strides: Sequence[int]) -> np.ndarray:
+    """The int64 keys (k - lo) . strides of the ``(n, d)`` rows k: their
+    row-major positions in a hull with corner ``lo``, which keep the rows'
+    lexicographic order; the caller guarantees the keys fit in int64."""
+    keys = (rows[:, 0] - lo[0]) * strides[0]
+    for i in range(1, rows.shape[1]):
+        keys += (rows[:, i] - lo[i]) * strides[i]
+    return keys
+
+
+def _merge_runs(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in increasing order and the sum of the
+    ``weights`` at each, added in input order from 0.0.
+
+    A stable argsort groups equal keys while keeping their input order, so
+    ``bincount`` over the run index adds each key's weights in the same
+    order as a bincount over the input would.  The input being a few
+    sorted runs, the sort is a merge of them."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys.take(order)
+    starts = np.empty(len(keys), dtype=bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    unique = keys[starts]
+    del keys
+    run = np.cumsum(starts)
+    run -= 1
+    weights = weights.take(order)
+    del order
+    return unique, np.bincount(run, weights=weights, minlength=len(unique))
+
+
 def refinement_step(
     problem: Problem,
     indices: np.ndarray,
@@ -118,10 +157,11 @@ def refinement_step(
     Implemented as a tap-major scatter over the stored samples followed by a
     deterministic duplicate merge, so the output support is exactly the
     reachable index set (exact-zero sums included), in lexicographic order.
-    The merge keys each index by its row-major position in the hull of the
-    scattered indices, so one 1-D unique replaces a sort of rows.  This
-    function is the single kernel shared by :func:`cascade_step` and value
-    refinement.
+    Each scattered index is keyed by its row-major position in the hull of
+    the scattered indices, one ``(|mask|, n)`` array of keys; a stable
+    argsort merges the taps' sorted runs of keys and ``bincount`` sums each
+    run in tap order (:func:`_merge_runs`).  This function is the single
+    kernel shared by :func:`cascade_step` and value refinement.
     """
     if step < 1:
         raise ValueError("step must be positive")
@@ -129,11 +169,15 @@ def refinement_step(
     d = problem.dim
     if len(indices) == 0:
         return np.zeros((0, d), dtype=np.int64), np.zeros(0)
+    indices = np.asarray(indices, dtype=np.int64)  # keys are computed in int64
     taps = problem.mask.items_sorted()
     shifts = [power.apply(q) for q, _ in taps]
-    # the exact hull of indices + shifts, in Python ints so nothing can wrap
-    first = [int(x) for x in indices.min(axis=0)]
-    last = [int(x) for x in indices.max(axis=0)]
+    # Row arrays are (n, d) with d small, and numpy reduces or broadcasts
+    # along such an array in inner loops of length d, one call per row: one
+    # contiguous pass per column is 8-20x faster, so the hull and the keys
+    # are computed column by column.  The hull of indices + shifts is exact,
+    # in Python ints, so nothing can wrap.
+    first, last = _column_hull(indices)
     low = [min(s[i] for s in shifts) for i in range(d)]
     high = [max(s[i] for s in shifts) for i in range(d)]
     lo = [a + b for a, b in zip(first, low)]
@@ -144,36 +188,46 @@ def refinement_step(
     strides = [math.prod(widths[i + 1 :]) for i in range(d)]
     # key(k + shift) = key of k relative to the input hull + key of the shift
     # relative to the lowest shift; both parts are nonnegative
-    base = (indices - np.asarray(first, dtype=np.int64)) @ np.asarray(strides, dtype=np.int64)
+    offsets = [sum((s[i] - low[i]) * strides[i] for i in range(d)) for s in shifts]
+    base = _row_keys(indices, first, strides)
     m = _float_m(problem)
-    keys = np.concatenate([
-        base + sum((s[i] - low[i]) * strides[i] for i in range(d)) for s in shifts
-    ])
-    scaled = np.concatenate([values * (m * coeff) for _, coeff in taps])
-    unique, inv = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inv, weights=scaled, minlength=len(unique))
+    weights = [m * coeff for _, coeff in taps]
+    # the caller keeps no reference to the scattered keys and weights, so
+    # the merge frees each one as soon as it has been reordered
+    unique, sums = _merge_runs(
+        (np.asarray(offsets, dtype=np.int64)[:, None] + base).reshape(-1),
+        (np.asarray(weights)[:, None] * values).reshape(-1),
+    )
     if not np.all(np.isfinite(sums)):
         raise NonFiniteArithmetic(f"level-{step} values overflow to inf or NaN")
+    # decode the keys in place, leading coordinate first; the last stride is 1
     out = np.empty((len(unique), d), dtype=np.int64)
-    rest = unique
-    for i in range(d):
-        out[:, i], rest = np.divmod(rest, strides[i])
-        out[:, i] += lo[i]
+    for i in range(d - 1):
+        column = out[:, i]
+        np.floor_divide(unique, strides[i], out=column)
+        np.remainder(unique, strides[i], out=unique)
+        column += lo[i]
+    np.add(unique, lo[-1], out=out[:, -1])
     return out, sums
+
+
+def _refuse_scatter(problem: Problem, samples: int, level: int, stage: str) -> None:
+    """Raise EnumerationTooLarge when the kernel step to ``level`` from
+    ``samples`` rows would scatter more than ``_SCATTER_CAP`` rows."""
+    taps = len(problem.mask.coefficients)
+    scatter = taps * samples
+    if scatter > _SCATTER_CAP:
+        raise EnumerationTooLarge(
+            f"{stage} level {level} would scatter {scatter} rows "
+            f"({taps} taps x {samples} samples), above the cap of {_SCATTER_CAP}"
+        )
 
 
 def cascade_step(problem: Problem, sampled: SampledFunction) -> SampledFunction:
     """Advance the cascade one level, keeping every reachable index.  A level
     that would scatter more than ``_SCATTER_CAP`` rows is refused with
     EnumerationTooLarge before the kernel allocates anything."""
-    taps = len(problem.mask.coefficients)
-    scatter = taps * len(sampled.values)
-    if scatter > _SCATTER_CAP:
-        raise EnumerationTooLarge(
-            f"cascade level {sampled.level + 1} would scatter {scatter} rows "
-            f"({taps} taps x {len(sampled.values)} samples), above the cap of "
-            f"{_SCATTER_CAP}"
-        )
+    _refuse_scatter(problem, len(sampled.values), sampled.level + 1, "cascade")
     indices, values = refinement_step(
         problem, sampled.indices, sampled.values, sampled.level + 1
     )
@@ -228,10 +282,11 @@ def empirical_support(
     if not np.any(keep):
         return None
     inv_power = problem.matrix.inverse_power_array(sampled.level)
-    coords = sampled.indices[keep].astype(float) @ inv_power.T
+    coords = np.compress(keep, sampled.indices, axis=0).astype(float) @ inv_power.T
+    columns = [coords[:, i] for i in range(problem.dim)]
     return RealBox(
-        tuple(float(x) for x in coords.min(axis=0)),
-        tuple(float(x) for x in coords.max(axis=0)),
+        tuple(float(c.min()) for c in columns),
+        tuple(float(c.max()) for c in columns),
     )
 
 
@@ -291,8 +346,9 @@ def sample_header(dim: int) -> str:
 _WRITE_CHUNK = 1024
 
 
-def _formatted(column: np.ndarray) -> list[str]:
-    """``repr`` of every entry of an int64 or float64 column.
+def _formatted(column: np.ndarray, suffix: str = "") -> list[str]:
+    """``repr`` of every entry of an int64 or float64 column, each followed
+    by ``suffix``.
 
     orjson writes the whole column with the shortest round-trip digits, the
     same digits as ``repr``, so only the cells whose notation can differ go
@@ -306,22 +362,31 @@ def _formatted(column: np.ndarray) -> list[str]:
         return []
     column = np.ascontiguousarray(column)  # orjson reads contiguous arrays only
     text = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    cells = text[1:-1].split(",")
+    if suffix:
+        text = text.replace(",", suffix + ",")
+    cells = (text[1:-1] + suffix).split(",")
     if column.dtype.kind == "f":
         size = np.abs(column)
         fixed = ((size >= 1e-4) & (size < 1e16)) | (column == 0)
         odd = np.flatnonzero(~fixed)
         for i, x in zip(odd.tolist(), column[odd].tolist()):
-            cells[i] = repr(x)
+            cells[i] = repr(x) + suffix
     return cells
 
 
-def _chunk_rows(prefix: Iterable[str], columns: list[np.ndarray]) -> list[str]:
-    """The rows of one chunk and a last empty entry, so that joining them with
-    newlines ends the chunk with one.  The column strings die on return,
-    before the rows are joined."""
-    cells = [_formatted(column) for column in columns]
-    return [*map("\t".join, zip(prefix, *cells)), ""]
+def _chunk_text(level: str, columns: list[np.ndarray]) -> str:
+    """The rows of one chunk, each ended by a newline.
+
+    The cells are laid out row by row in one list, a column at a time by
+    slice assignment, and joined once with tabs; each value cell carries the
+    newline and the level that open the next row, and the chunk drops the
+    last one's level."""
+    width = len(columns)
+    cells = [""] * (len(columns[0]) * width)
+    for j, column in enumerate(columns[:-1]):
+        cells[j::width] = _formatted(column)
+    cells[width - 1 :: width] = _formatted(columns[-1], f"\n{level}")
+    return f"{level}\t" + "\t".join(cells)[: -len(level)]
 
 
 def write_rows(
@@ -333,22 +398,19 @@ def write_rows(
     index, coordinates, value) under a mandatory header.
 
     The coordinates of a level are x = k (M^-n)^T, computed once for the
-    whole level; floats use shortest round-trip formatting.  Rows are joined
-    a chunk at a time, so no level's text is held in memory at once, and
-    each column of a chunk is formatted in one call.
+    whole level; floats use shortest round-trip formatting.  Rows are
+    written a chunk at a time, so no level's text is held in memory at once;
+    each column of a chunk is formatted in one call and the chunk's cells
+    are joined in one (:func:`_chunk_text`).
     """
     stream.write(sample_header(matrix.dim) + "\n")
     for level, indices, values in levels:
         indices = np.asarray(indices, dtype=np.int64)
         coords = indices.astype(float) @ matrix.inverse_power_array(level).T
         columns = [*indices.T, *coords.T, np.asarray(values, dtype=np.float64)]
-        prefix = itertools.repeat(str(level))
         for start in range(0, len(values), _WRITE_CHUNK):
             part = slice(start, start + _WRITE_CHUNK)
-            # no name holds a chunk's rows, so they die before the next chunk
-            stream.write("\n".join(
-                _chunk_rows(prefix, [column[part] for column in columns])
-            ))
+            stream.write(_chunk_text(str(level), [column[part] for column in columns]))
 
 
 def write_samples(

@@ -26,7 +26,14 @@ from .bounds import (
     best_bound,
     enclosing_integer_box,
 )
-from .cascade import SampledFunction, refinement_step, write_rows
+from .cascade import (
+    SampledFunction,
+    _column_hull,
+    _refuse_scatter,
+    _row_keys,
+    refinement_step,
+    write_rows,
+)
 from .errors import (
     ContractionSearchExhausted,
     DomainTooSmall,
@@ -104,31 +111,43 @@ def lattice_points_in_bound(
     )
     points = np.stack([g.reshape(-1) for g in grids], axis=1)
     coords = points.astype(float) @ problem.matrix.inverse_power_array(level).T
-    return points[bound.contains_many(coords)]
+    return np.compress(bound.contains_many(coords), points, axis=0)
+
+
+def _hull_keys(*blocks: np.ndarray) -> list[np.ndarray]:
+    """The int64 keys of the rows of each ``(n, d)`` block: their row-major
+    positions in the common hull of the nonempty blocks, which keep the rows'
+    lexicographic order.  Raises IndexOverflow when that hull's keys do not
+    fit in int64."""
+    hulls = [_column_hull(block) for block in blocks if len(block)]
+    lo = [min(column) for column in zip(*(low for low, _ in hulls))]
+    hi = [max(column) for column in zip(*(high for _, high in hulls))]
+    widths = [b - a + 1 for a, b in zip(lo, hi)]
+    if math.prod(widths) >= 2**63:
+        raise IndexOverflow("lattice index hull does not fit in int64 keys")
+    strides = [math.prod(widths[i + 1 :]) for i in range(len(widths))]
+    return [_row_keys(block, lo, strides) for block in blocks]
+
+
+def _search(keys: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the ``probes`` among the sorted distinct ``keys`` by one
+    binary search each, and a mask of the probes found there."""
+    if len(keys) == 0:
+        return np.zeros(len(probes), dtype=np.int64), np.zeros(len(probes), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
+    return pos, keys.take(pos) == probes
 
 
 def _locate(rows: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the ``queries`` among the distinct, lexicographically
     sorted ``rows``, and a mask of the queries found there.
 
-    Both are keyed by their row-major position in the common hull; that key
-    preserves lexicographic order, so the row keys are already sorted and one
-    binary search per query suffices.
+    Both are keyed in their common hull (:func:`_hull_keys`), so the row
+    keys are already sorted and one binary search per query suffices.
     """
     if len(rows) == 0 or len(queries) == 0:
         return np.zeros(len(queries), dtype=np.int64), np.zeros(len(queries), dtype=bool)
-    lo = np.minimum(rows.min(axis=0), queries.min(axis=0))
-    hi = np.maximum(rows.max(axis=0), queries.max(axis=0))
-    widths = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
-    if math.prod(widths) >= 2**63:
-        raise IndexOverflow("lattice index hull does not fit in int64 keys")
-    strides = np.asarray(
-        [math.prod(widths[i + 1 :]) for i in range(len(widths))], dtype=np.int64
-    )
-    keys = (rows - lo) @ strides
-    probes = (queries - lo) @ strides
-    pos = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
-    return pos, keys[pos] == probes
+    return _search(*_hull_keys(rows, queries))
 
 
 @dataclass(frozen=True)
@@ -148,10 +167,12 @@ def build_transfer_matrix(
 ) -> TransferMatrix:
     """Assemble the transfer matrix by exact integer index arithmetic: row i
     holds m c_q at the column of M k_i - q for every mask tap q whose point
-    is a candidate, one array lookup per tap, so the cost is O(N |mask|) up
-    to a sort.  Each entry gets at most one tap, since q = M k_i - k_j is
-    fixed by (i, j).  Raises EnumerationTooLarge when N exceeds the cap on
-    the dense matrix, before that matrix is allocated."""
+    is a candidate.  All N |mask| points M k_i - q are looked up among the
+    sorted candidates at once, so the cost is O(N |mask|) up to a sort, and
+    one assignment places every entry: each entry gets at most one tap,
+    since q = M k_i - k_j is fixed by (i, j).  Raises EnumerationTooLarge
+    when N exceeds the cap on the dense matrix, before that matrix is
+    allocated."""
     pts = tuple(tuple(int(x) for x in p) for p in points)
     if not pts:
         raise ValueError("points must be nonempty")
@@ -174,15 +195,19 @@ def build_transfer_matrix(
     if reach + max(abs(x) for q, _ in taps for x in q) >= 2**62:
         raise IndexOverflow("images M k of the points do not fit in int64")
     ks = np.asarray(pts, dtype=np.int64).reshape(n, d)
-    order = np.lexsort(ks.T[::-1])
-    ordered = ks[order]
-    if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
-        raise ValueError("points must be distinct")
     images = ks @ np.asarray(rows, dtype=np.int64).T
+    shifts = np.asarray([q for q, _ in taps], dtype=np.int64).reshape(len(taps), 1, d)
+    # the points M k_i - q, tap-major: query t n + i is tap t of point i
+    keys, probes = _hull_keys(ks, (images - shifts).reshape(-1, d))
+    order = np.argsort(keys, kind="stable")
+    keys = keys.take(order)
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("points must be distinct")
+    pos, found = _search(keys, probes)
+    hits = np.flatnonzero(found)
+    weights = np.asarray([w for _, w in taps])
     matrix = np.zeros((n, n))
-    for q, w in taps:
-        pos, found = _locate(ordered, images - np.asarray(q, dtype=np.int64))
-        matrix[np.flatnonzero(found), order[pos[found]]] = w
+    matrix[hits % n, order.take(pos.take(hits))] = weights.take(hits // n)
     matrix.flags.writeable = False
     return TransferMatrix(pts, matrix)
 
@@ -369,14 +394,19 @@ def _with_images(
     indices: np.ndarray, values: np.ndarray, images: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sorted rows of ``indices`` joined by the distinct ``images`` not
-    among them, which get the value +0.0; still in lexicographic order."""
-    _, found = _locate(indices, images)
-    extra = images[~found]
-    if len(extra) == 0:
+    among them, which get the value +0.0; still in lexicographic order.
+    Rows and images are keyed in their common hull (:func:`_hull_keys`), so
+    a stable argsort of the joined keys puts the joined rows in order."""
+    if len(images) == 0:
         return indices, values
-    rows = np.concatenate([indices, extra])
-    order = np.lexsort(rows.T[::-1])
-    return rows[order], np.concatenate([values, np.zeros(len(extra))])[order]
+    keys, probes = _hull_keys(indices, images)
+    extra = ~_search(keys, probes)[1]
+    count = int(np.count_nonzero(extra))
+    if count == 0:
+        return indices, values
+    order = np.argsort(np.concatenate([keys, probes[extra]]), kind="stable")
+    rows = np.concatenate([indices, np.compress(extra, images, axis=0)])
+    return rows.take(order, axis=0), np.concatenate([values, np.zeros(count)]).take(order)
 
 
 def refine_values(
@@ -420,6 +450,7 @@ def refine_values(
     indices = np.asarray(points, dtype=np.int64).reshape(len(points), problem.dim)
     samples = {0: SampledFunction(0, indices, values)}
     for level in range(1, levels + 1):
+        _refuse_scatter(problem, len(indices), level, "refinement")
         indices, values = refinement_step(problem, indices, values, level)
         coords = indices.astype(float) @ problem.matrix.inverse_power_array(level).T
         inside = bound.contains_many(coords)
@@ -430,7 +461,7 @@ def refine_values(
                 f"value {escaped.max():.3g} escaped the support bound at "
                 f"level {level}; bound, seed, or enumeration is inconsistent"
             )
-        indices, values = indices[inside], values[inside]
+        indices, values = np.compress(inside, indices, axis=0), values[inside]
         images = _images(problem, samples[level - 1].indices)
         samples[level] = SampledFunction(level, *_with_images(indices, values, images))
     total = math.fsum(samples[0].values.tolist())

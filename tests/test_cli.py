@@ -307,6 +307,29 @@ class TestErrorPaths:
         assert_one_error_line(result, "EnumerationTooLarge")
         assert not list(tmp_path.glob("dumps/*.tsv"))
 
+    def test_oversized_refine_level_is_refused_before_it_allocates(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        # 256 taps on M = 16: every level's bound box passes the enumeration
+        # cap, level 3 keeps 69,650 kernel rows (a 1.1 M-row scatter), and
+        # level 4 would scatter 256 x 69,650 = 17,830,400 rows, over 1 GB
+        doc = write_doc(
+            tmp_path, "comb16", 1, [[16]],
+            [{"q": [q], "c": "1/256"} for q in range(256)],
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "refinable", "refine", str(doc), "--levels", "4",
+             "--outdir", str(tmp_path / "dumps")],
+            capture_output=True,
+            text=True,
+            env={**ENV, "OPENBLAS_NUM_THREADS": "1"},
+            timeout=60,
+            # 1 GiB of address space, as in the cascade test above
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert_one_error_line(result, "EnumerationTooLarge")
+        assert "refinement level 4 would scatter 17830400 rows" in result.stderr
+        assert not list(tmp_path.glob("dumps/*.tsv"))
+
 
 class TestNonFiniteArithmetic:
     """m c_q overflows to inf for the mask {0: 1e308, 1: -1e308, 2: 1},

@@ -1,0 +1,103 @@
+"""The per-level modules reduce row arrays one column at a time.
+
+numpy reduces an ``(n, d)`` array with small d along ``axis=0`` or
+``axis=1`` in inner loops of length d, one call per row, which is 8-20x
+slower than one pass over each contiguous column; ``np.lexsort`` of rows and
+``np.unique(..., axis=0)`` sort rows the same slow way.  An AST scan of
+``cascade.py``, ``pointwise.py`` and ``bounds.py`` fails on every such call
+that the allow-list below does not name with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "refinable"
+HOT_MODULES = ("cascade.py", "pointwise.py", "bounds.py")
+# reductions that are slow per row when given an axis
+AXIS_REDUCTIONS = {"min", "max", "amin", "amax", "all", "any", "norm", "unique"}
+ROW_SORTS = {"lexsort"}
+
+# (module, enclosing function, called name) -> why the call may stay
+ALLOWED = {
+    ("pointwise.py", "periodization_check", "max"):
+        "probe rows, a handful per call, not a lattice level",
+    ("pointwise.py", "periodization_check", "unique"):
+        "residue rows grouped once per call; row-major keys of their hull "
+        "need not fit in int64",
+    ("pointwise.py", "read_values", "lexsort"):
+        "rows parsed from a file may span a hull too wide for int64 keys",
+    ("pointwise.py", "read_values", "all"):
+        "rows parsed from a file may span a hull too wide for int64 keys",
+    ("bounds.py", "_row_norms", "norm"):
+        "rows of eight or more coordinates, whose pairwise sum numpy defines",
+}
+
+
+def _called_name(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    return None
+
+
+class _Scan(ast.NodeVisitor):
+    def __init__(self):
+        self.functions: list[str] = ["<module>"]
+        self.found: list[tuple[str, str, int]] = []
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    def visit_Call(self, node):
+        name = _called_name(node)
+        has_axis = any(k.arg == "axis" for k in node.keywords)
+        if name in ROW_SORTS or (name in AXIS_REDUCTIONS and has_axis):
+            self.found.append((self.functions[-1], name, node.lineno))
+        self.generic_visit(node)
+
+
+def row_reductions(source: str) -> list[tuple[str, str, int]]:
+    """(enclosing function, called name, line) of every row-wise reduction
+    or row sort in ``source``."""
+    scan = _Scan()
+    scan.visit(ast.parse(source))
+    return scan.found
+
+
+@pytest.mark.parametrize("module", HOT_MODULES)
+def test_no_row_reductions_outside_the_allow_list(module):
+    found = row_reductions((PACKAGE / module).read_text())
+    assert [
+        f"{module}:{line} {func}: {name}"
+        for func, name, line in found
+        if (module, func, name) not in ALLOWED
+    ] == []
+
+
+def test_every_allow_list_entry_is_used():
+    used = {
+        (module, func, name)
+        for module in HOT_MODULES
+        for func, name, _ in row_reductions((PACKAGE / module).read_text())
+    }
+    assert sorted(set(ALLOWED) - used) == []
+
+
+def test_scan_catches_planted_row_reductions():
+    source = (
+        "import numpy as np\n"
+        "class Box:\n"
+        "    def hull(self, x):\n"
+        "        return x.min(axis=0), x.max()\n"
+        "def order(x):\n"
+        "    return np.lexsort(x.T[::-1]), np.linalg.norm(x, axis=1)\n"
+        "def fine(x):\n"
+        "    return x[:, 0].min(), np.all(x), np.compress(x[:, 0] > 0, x, axis=0)\n"
+    )
+    assert row_reductions(source) == [("hull", "min", 4), ("order", "lexsort", 6),
+                                      ("order", "norm", 6)]
