@@ -28,13 +28,14 @@ PROBLEM_DIR = Path(__file__).parent / "problems"
 def four_tap() -> None:
     problem = parse_problem((PROBLEM_DIR / "daubechies4.json").read_text())
     points = candidate_points(problem)
-    print(f"== daubechies4: candidate integer points {[p[0] for p in points]}")
+    print(f"== daubechies4: candidate integer points {points[:, 0].tolist()}")
     transfer = build_transfer_matrix(problem, points)
     result = integer_values(transfer)
     print(f"   eigenspace dimension {result.eigenspace_dimension}")
-    for point, value in result.values.items():
-        marker = "   (structural zero)" if point in result.structural_zeros else ""
-        print(f"   phi({point[0]:+d}) = {value:+.12f}{marker}")
+    zeros = result.structural_zeros[:, 0].tolist()
+    for k, value in zip(points[:, 0].tolist(), result.values.values.tolist()):
+        marker = "   (structural zero)" if k in zeros else ""
+        print(f"   phi({k:+d}) = {value:+.12f}{marker}")
     table = refine_values(problem, result.values, 4)
     print("   values on the quarter-integer lattice:")
     for k in range(0, 13):
@@ -53,13 +54,13 @@ def unit_indicator() -> None:
         warnings.simplefilter("ignore", NonUniqueWarning)
         result = integer_values(transfer)
     for row in result.basis:
-        entries = ", ".join(f"phi({p[0]:+d})={v:+.1f}" for p, v in zip(points, row))
+        entries = ", ".join(f"phi({k:+d})={v:+.1f}" for k, v in zip(points[:, 0].tolist(), row))
         print(f"   basis vector: {entries}")
     print("   iterating the transfer matrix on the box-indicator samples")
     print("   selects the half-open convention:")
     converged = converged_integer_values(problem)
-    for point, value in sorted(converged.items()):
-        print(f"   phi({point[0]:+d}) = {value:+.1f}")
+    for k, value in zip(converged.indices[:, 0].tolist(), converged.values.tolist()):
+        print(f"   phi({k:+d}) = {value:+.1f}")
 
 
 def main() -> None:

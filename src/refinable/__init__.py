@@ -52,9 +52,7 @@ from .linalg import (
     determinant,
     eigenvalues,
     integer_power,
-    is_dilation,
     operator_norm,
-    real_jordan_structure,
 )
 from .mask import (
     CosetSums,

@@ -98,8 +98,7 @@ def run_checks(problem: Problem, iters: int, levels: int, eps: float) -> list[Ch
         table = pointwise_mod.refine_values(problem, result.values, levels)
         worst = pointwise_mod.refine_consistency(problem, table)
         record("refine-consistency", worst <= 1e-12, f"max deviation {worst:.3g}")
-        probes = [tuple(float(x) for x in p) for p in transfer.points]
-        deviations = pointwise_mod.periodization_check(problem, table, 0, probes)
+        deviations = pointwise_mod.periodization_check(problem, table, 0, transfer.points)
         worst_dev = max(d for _, _, d in deviations)
         record("partition-of-unity", worst_dev <= 1e-8, f"max deviation {worst_dev:.3g}")
     else:

@@ -243,30 +243,30 @@ def _cmd_cascade(args) -> int:
 def _cmd_values(args) -> int:
     problem = _load_problem(args.problem)
     result, notes, values = pointwise_mod.resolve_values(problem, args.left_closed)
+    points = result.points.tolist()
+    zeros = result.structural_zeros.tolist()
     data = {
         "eigenspace_dimension": result.eigenspace_dimension,
-        "points": [list(p) for p in result.points],
+        "points": points,
         "warnings": notes,
-        "values": [values[p] for p in result.points] if values is not None else None,
-        "basis": None if values is not None else [list(map(float, row)) for row in result.basis],
-        "structural_zeros": [list(p) for p in result.structural_zeros],
+        "values": values.values.tolist() if values is not None else None,
+        "basis": None if values is not None else result.basis.tolist(),
+        "structural_zeros": zeros,
     }
     lines = [f"warning: NonUnique: {note}" for note in notes]
     lines.append(f"eigenspace-dimension: {result.eigenspace_dimension}")
     if values is not None:
         lines.extend(
-            f"phi{list(point)}: {_fmt(values[point])}" for point in result.points
+            f"phi{point}: {_fmt(value)}" for point, value in zip(points, data["values"])
         )
-        if result.normalized and result.structural_zeros:
-            zeros = ", ".join(str(list(p)) for p in result.structural_zeros)
-            lines.append(f"structural-zeros: {zeros}")
+        if result.normalized and zeros:
+            lines.append(f"structural-zeros: {', '.join(map(str, zeros))}")
     else:
         lines.extend(
             "basis[{}]: {}".format(
-                i,
-                ", ".join(f"{list(p)}: {_fmt(v)}" for p, v in zip(result.points, row)),
+                i, ", ".join(f"{p}: {_fmt(v)}" for p, v in zip(points, row))
             )
-            for i, row in enumerate(result.basis)
+            for i, row in enumerate(data["basis"])
         )
     _emit(data, lines, args.format)
     return 0

@@ -424,12 +424,6 @@ def eigenvalues(matrix: IntMatrix) -> Spectrum:
     return Spectrum(tuple(realified), all_real)
 
 
-def is_dilation(matrix: IntMatrix) -> DilationCheck:
-    """True iff the matrix is invertible and every eigenvalue modulus
-    exceeds one (with a small classification tolerance)."""
-    return DilationMatrix(matrix).dilation_check
-
-
 def _spectrum_verdict(spec: Spectrum) -> DilationCheck:
     offending = tuple(
         z for z in spec.eigenvalues if abs(z) <= 1.0 + DILATION_TOL
@@ -459,7 +453,7 @@ def _null_basis(matrix: np.ndarray, tol: float) -> np.ndarray:
     return basis
 
 
-def real_jordan_structure(matrix: IntMatrix) -> JordanStructure:
+def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure:
     """Real Jordan decomposition M = C G C^-1, with blocks grouped by
     distinct eigenvalue and generalized-eigenvector chains as columns.
 
@@ -467,10 +461,6 @@ def real_jordan_structure(matrix: IntMatrix) -> JordanStructure:
     a block of size s is v, Nv, ..., N^(s-1)v with N = M - lambda I, which
     matches a Jordan matrix carrying ones on the subdiagonal.
     """
-    return DilationMatrix(matrix).jordan_structure
-
-
-def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure:
     if not spec.all_real:
         raise ComplexSpectrum(
             "matrix has complex eigenvalues; no real Jordan form"
@@ -636,6 +626,8 @@ class DilationMatrix:
     # from ``spectrum.all_real`` without new work.
     @cached_property
     def dilation_check(self) -> DilationCheck:
+        """True iff the matrix is invertible and every eigenvalue modulus
+        exceeds one (with a small classification tolerance)."""
         if self.determinant == 0:
             return DilationCheck(False, (), "determinant is zero")
         return _spectrum_verdict(self.spectrum)

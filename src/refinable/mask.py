@@ -124,9 +124,9 @@ class Problem:
 def per_problem(func):
     """Decorate ``func(problem)`` so that it runs once per Problem instance
     and later calls return the same object.  Errors are raised again on
-    every call, never kept.  Only immutable results (tuples, frozen
-    dataclasses, read-only arrays) may be kept this way, since every caller
-    of the problem shares them."""
+    every call, never kept.  Only immutable results (frozen dataclasses,
+    read-only arrays) may be kept this way, since every caller of the
+    problem shares them."""
 
     @functools.wraps(func)
     def memoized(problem: Problem):
@@ -229,6 +229,10 @@ def problem_from_data(
             continue
         if frac is None and value == 0.0:
             continue
+        try:  # mask_radius takes the square root of this exact integer
+            float(sum(x * x for x in q))
+        except OverflowError as exc:
+            raise ParseError("index has a squared norm above 1.8e308") from exc
         coeffs[q] = value
         if frac is None:
             all_rational = False

@@ -10,12 +10,11 @@ module uses, level by level.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Mapping, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .cascade import (
     _column_hull,
     _refuse_scatter,
     _row_keys,
+    initial_samples,
     refinement_step,
     write_rows,
 )
@@ -60,14 +60,16 @@ _ESCAPE_RTOL = 1e-9
 # ---------------------------------------------------------------------------
 
 @per_problem
-def candidate_points(problem: Problem) -> tuple[tuple[int, ...], ...]:
-    """All integer points inside the best available support bound, in
-    lexicographic order; enumerated once per problem."""
+def candidate_points(problem: Problem) -> np.ndarray:
+    """All integer points inside the best available support bound, as
+    sorted ``(N, d)`` int64 rows; enumerated once per problem, read-only."""
     try:
         bound = best_bound(problem)
     except ContractionSearchExhausted as exc:
         raise NoBoundAvailable(str(exc)) from exc
-    return tuple(map(tuple, lattice_points_in_bound(problem, bound, 0).tolist()))
+    points = lattice_points_in_bound(problem, bound, 0)
+    points.flags.writeable = False
+    return points
 
 
 def _enumeration_halves(problem: Problem, bound: SupportBound, level: int) -> list[int]:
@@ -152,9 +154,9 @@ def _locate(rows: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """The matrix m (c_{M k_i - k_j}) over an ordered candidate set."""
+    """The matrix m (c_{M k_i - k_j}) over distinct ``(N, d)`` int64 rows."""
 
-    points: tuple[tuple[int, ...], ...]
+    points: np.ndarray
     matrix: np.ndarray
 
     @property
@@ -162,43 +164,36 @@ class TransferMatrix:
         return len(self.points)
 
 
-def build_transfer_matrix(
-    problem: Problem, points: Sequence[Sequence[int]]
-) -> TransferMatrix:
-    """Assemble the transfer matrix by exact integer index arithmetic: row i
-    holds m c_q at the column of M k_i - q for every mask tap q whose point
-    is a candidate.  All N |mask| points M k_i - q are looked up among the
-    sorted candidates at once, so the cost is O(N |mask|) up to a sort, and
-    one assignment places every entry: each entry gets at most one tap,
-    since q = M k_i - k_j is fixed by (i, j).  Raises EnumerationTooLarge
-    when N exceeds the cap on the dense matrix, before that matrix is
-    allocated."""
-    pts = tuple(tuple(int(x) for x in p) for p in points)
-    if not pts:
+def build_transfer_matrix(problem: Problem, points: np.ndarray) -> TransferMatrix:
+    """Assemble the transfer matrix over the ``(N, d)`` rows ``points`` by
+    exact integer index arithmetic: row i holds m c_q at the column of
+    M k_i - q for every mask tap q whose point is a candidate.  All N |mask|
+    points M k_i - q are looked up among the sorted candidates at once, so
+    the cost is O(N |mask|) up to a sort, and one assignment places every
+    entry: each entry gets at most one tap, since q = M k_i - k_j is fixed by
+    (i, j).  Raises EnumerationTooLarge when N exceeds the cap on the dense
+    matrix, before that matrix is allocated."""
+    points = np.asarray(points, dtype=np.int64)  # keys are computed in int64
+    n, d = len(points), problem.dim
+    if n == 0:
         raise ValueError("points must be nonempty")
-    n, d = len(pts), problem.dim
     if n > _TRANSFER_CAP:
         raise EnumerationTooLarge(
             f"transfer matrix over {n} candidate points exceeds the cap of "
             f"{_TRANSFER_CAP}"
         )
-    rows = problem.matrix.matrix.rows
-    # before m = |det M| is rounded: entries this large can overflow a float
-    if max(abs(x) for r in rows for x in r) >= 2**62:
-        raise IndexOverflow("M has entries too large for int64 lattice indices")
+    # first, since M's entries bound m = |det M|, which is rounded below
+    images = _images(problem, points)
     m = float(problem.m)
     taps = [(q, m * c) for q, c in problem.mask.items_sorted()]
     for q, w in taps:
         if not math.isfinite(w):
             raise NonFiniteArithmetic(f"transfer entry m c_q overflows at q = {list(q)}")
-    reach = max(map(abs, itertools.chain(*pts))) * max(sum(map(abs, r)) for r in rows)
-    if reach + max(abs(x) for q, _ in taps for x in q) >= 2**62:
-        raise IndexOverflow("images M k of the points do not fit in int64")
-    ks = np.asarray(pts, dtype=np.int64).reshape(n, d)
-    images = ks @ np.asarray(rows, dtype=np.int64).T
+    if max(abs(x) for q, _ in taps for x in q) >= 2**62:
+        raise IndexOverflow("mask indices do not fit in int64")
     shifts = np.asarray([q for q, _ in taps], dtype=np.int64).reshape(len(taps), 1, d)
     # the points M k_i - q, tap-major: query t n + i is tap t of point i
-    keys, probes = _hull_keys(ks, (images - shifts).reshape(-1, d))
+    keys, probes = _hull_keys(points, (images - shifts).reshape(-1, d))
     order = np.argsort(keys, kind="stable")
     keys = keys.take(order)
     if np.any(keys[1:] == keys[:-1]):
@@ -209,7 +204,7 @@ def build_transfer_matrix(
     matrix = np.zeros((n, n))
     matrix[hits % n, order.take(pos.take(hits))] = weights.take(hits // n)
     matrix.flags.writeable = False
-    return TransferMatrix(pts, matrix)
+    return TransferMatrix(points, matrix)
 
 
 @per_problem
@@ -228,24 +223,25 @@ class IntegerValues:
     """Eigenvalue-1 eigenspace of the transfer matrix.
 
     With a one-dimensional eigenspace the single basis vector is scaled so
-    its entries sum to one and ``values`` maps each candidate point to its
-    value; otherwise the orthonormal basis is returned as-is and callers
-    must resolve the ambiguity themselves.
+    its entries sum to one, ``values`` is that level-0 function on
+    ``points`` and ``structural_zeros`` are the rows where it is within
+    ``STRUCTURAL_ZERO_TOL`` of zero; otherwise the orthonormal basis is
+    returned as-is and callers must resolve the ambiguity themselves.
     """
 
-    points: tuple[tuple[int, ...], ...]
+    points: np.ndarray
     basis: np.ndarray
     eigenspace_dimension: int
     normalized: bool
-    structural_zeros: tuple[tuple[int, ...], ...]
+    structural_zeros: np.ndarray
 
-    @property
-    def values(self) -> dict[tuple[int, ...], float]:
+    @cached_property
+    def values(self) -> SampledFunction:
         if not self.normalized:
             raise ValueError(
                 "eigenspace is not one-dimensional; no canonical values"
             )
-        return {p: float(v) for p, v in zip(self.points, self.basis[0])}
+        return SampledFunction(0, self.points, self.basis[0])
 
 
 def integer_values(transfer: TransferMatrix) -> IntegerValues:
@@ -286,9 +282,7 @@ def integer_values(transfer: TransferMatrix) -> IntegerValues:
                 "unit eigenvector has entry sum within 1e-12 of zero"
             )
         vec = vec / total
-        zeros = tuple(
-            p for p, v in zip(transfer.points, vec) if abs(v) <= STRUCTURAL_ZERO_TOL
-        )
+        zeros = np.compress(np.abs(vec) <= STRUCTURAL_ZERO_TOL, transfer.points, axis=0)
         return IntegerValues(transfer.points, vec[None, :], 1, True, zeros)
     warnings.warn(
         f"eigenvalue-1 eigenspace has dimension {dimension}; integer values "
@@ -296,12 +290,33 @@ def integer_values(transfer: TransferMatrix) -> IntegerValues:
         NonUniqueWarning,
         stacklevel=2,
     )
-    return IntegerValues(transfer.points, basis, dimension, False, ())
+    return IntegerValues(transfer.points, basis, dimension, False, transfer.points[:0])
 
 
-def converged_integer_values(problem: Problem) -> dict[tuple[int, ...], float]:
-    """Integer-point values obtained by iterating the transfer matrix on the
-    integer samples of the box indicator (a unit spike at the origin).
+def _on_candidates(points: np.ndarray, seed: SampledFunction) -> np.ndarray:
+    """The values of the level-0 function ``seed`` at the candidate
+    ``points``, zero where it has no row.  A seed row outside the candidates
+    raises DomainTooSmall, a repeated one ValueError."""
+    if seed.level != 0:
+        raise ValueError("the seed must be a level-0 function")
+    try:
+        pos, found = _locate(points, seed.indices)
+    except IndexOverflow:
+        # the candidates' hull fits in int64 keys, so a seed row lies outside
+        raise DomainTooSmall("a seed index is outside the candidate set") from None
+    if not found.all():
+        row = seed.indices[int(np.argmin(found))].tolist()
+        raise DomainTooSmall(f"seed index {tuple(row)} is outside the candidate set")
+    if np.any(np.bincount(pos, minlength=len(points)) > 1):
+        raise ValueError("the seed repeats an index")
+    values = np.zeros(len(points))
+    values[pos] = seed.values
+    return values
+
+
+def converged_integer_values(problem: Problem) -> SampledFunction:
+    """The level-0 function obtained by iterating the transfer matrix on
+    the integer samples of the box indicator (a unit spike at the origin).
 
     This is the cascade iteration restricted to the integer lattice; when
     the eigenvalue-1 eigenspace is not unique it selects the limit that a
@@ -309,8 +324,7 @@ def converged_integer_values(problem: Problem) -> dict[tuple[int, ...], float]:
     """
     points = candidate_points(problem)
     transfer = transfer_matrix(problem)
-    vec = np.zeros(len(points))
-    vec[points.index((0,) * problem.dim)] = 1.0
+    vec = _on_candidates(points, initial_samples(problem))
     acc = np.zeros_like(vec)
     tail = TRANSFER_ITERATIONS // 4
     for i in range(TRANSFER_ITERATIONS):
@@ -321,16 +335,16 @@ def converged_integer_values(problem: Problem) -> dict[tuple[int, ...], float]:
     vec = acc / tail
     if not np.all(np.isfinite(vec)):
         raise NonFiniteArithmetic("the transfer iteration overflowed")
-    return {p: float(v) for p, v in zip(points, vec)}
+    return SampledFunction(0, points, vec)
 
 
 def resolve_values(
     problem: Problem, left_closed: bool
-) -> tuple[IntegerValues, list[str], dict[tuple[int, ...], float] | None]:
+) -> tuple[IntegerValues, list[str], SampledFunction | None]:
     """Integer-point values as ``values`` and ``refine`` report them: the
     eigenspace, the messages of any NonUniqueWarning plus a note when the
-    tie-break applied, and the values, or None when the eigenspace is not
-    one-dimensional and no tie-break was asked for.
+    tie-break applied, and the level-0 function of the values, or None when
+    the eigenspace is not one-dimensional and no tie-break was asked for.
 
     With ``left_closed`` a larger eigenspace is resolved toward the limit of
     :func:`converged_integer_values`: that iterate is projected onto the
@@ -342,8 +356,7 @@ def resolve_values(
     notes = [str(w.message) for w in caught if issubclass(w.category, NonUniqueWarning)]
     if result.normalized or not left_closed:
         return result, notes, result.values if result.normalized else None
-    converged = converged_integer_values(problem)
-    vec = np.asarray([converged[p] for p in result.points])
+    vec = converged_integer_values(problem).values
     basis = result.basis
     coords, *_ = np.linalg.lstsq(basis.T, vec, rcond=None)
     projected = basis.T @ coords
@@ -351,9 +364,8 @@ def resolve_values(
     if abs(total) <= 1e-12:
         raise NormalizationImpossible("left-closed selection has zero sum")
     projected = projected / total
-    values = {p: float(v) for p, v in zip(result.points, projected)}
     notes.append("left-closed tie-break applied")
-    return result, notes, values
+    return result, notes, SampledFunction(0, result.points, projected)
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +423,16 @@ def _with_images(
 
 def refine_values(
     problem: Problem,
-    level0: Mapping[tuple[int, ...], float],
+    level0: SampledFunction,
     levels: int,
 ) -> ValueTable:
-    """Extend integer-point values to the lattices M^-j Z^d, j = 1..levels.
+    """Extend the level-0 function ``level0`` to M^-j Z^d, j = 1..levels.
 
-    Level 0 stores every candidate point.  Level j stores the rows the
-    shared refinement kernel reaches from the kernel rows one level down
-    whose lattice points lie inside the support bound, that is the discrete
+    Level 0 stores every candidate point, with value zero where ``level0``
+    has no row; a seed row outside the candidates raises DomainTooSmall and
+    a repeated one ValueError.  Level j stores the rows the shared
+    refinement kernel reaches from the kernel rows one level down whose
+    lattice points lie inside the support bound, that is the discrete
     attractor approximant C + sum_(i<j) M^i supp c cut to the bound, plus the
     image M k of every row k stored at level j-1, with value +0.0 where the
     kernel produced none, so that phi_(j-1)(k) = phi_j(M k) can be checked
@@ -433,21 +447,12 @@ def refine_values(
     """
     if levels < 1:
         raise ValueError("levels must be positive")
-    points = candidate_points(problem)
-    position = {p: i for i, p in enumerate(points)}
-    values = np.zeros(len(points))
-    for key, value in level0.items():
-        i = position.get(tuple(key))
-        if i is None:
-            raise DomainTooSmall(
-                f"seed index {tuple(key)} is outside the candidate set"
-            )
-        values[i] = float(value)
+    indices = candidate_points(problem)
+    values = _on_candidates(indices, level0)
     bound = best_bound(problem)
     # refuse an oversized level before any refinement work is spent
     for level in range(1, levels + 1):
         _enumeration_halves(problem, bound, level)
-    indices = np.asarray(points, dtype=np.int64).reshape(len(points), problem.dim)
     samples = {0: SampledFunction(0, indices, values)}
     for level in range(1, levels + 1):
         _refuse_scatter(problem, len(indices), level, "refinement")

@@ -25,7 +25,7 @@ import numpy as np
 
 from refinable import candidate_points, lattice_points_in_bound
 from refinable.bounds import best_bound
-from refinable.cascade import refinement_step, sample_header
+from refinable.cascade import SampledFunction, refinement_step, sample_header
 from refinable.errors import (
     DomainTooSmall,
     NonFiniteArithmetic,
@@ -132,9 +132,16 @@ def per_row_reference(matrix, blocks):
     return "\n".join(lines) + "\n"
 
 
+def seed_from(values):
+    """The level-0 SampledFunction with the rows and values of a dict keyed
+    by index tuples, in the dict's order."""
+    indices = np.asarray(list(values), dtype=np.int64).reshape(len(values), -1)
+    return SampledFunction(0, indices, np.asarray(list(values.values()), dtype=float))
+
+
 def reference_refine(problem, level0, levels):
     """Refinement with every level rebuilt as a dict keyed by index tuples."""
-    points = candidate_points(problem)
+    points = tuple(map(tuple, candidate_points(problem).tolist()))
     point_set = set(points)
     for key in level0:
         if tuple(key) not in point_set:

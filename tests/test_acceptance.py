@@ -33,6 +33,7 @@ from refinable import (
 )
 from refinable.errors import NonUniqueWarning
 
+from oracle import seed_from
 from test_pointwise import d4_oracle_refine
 
 BOX = InitialFunctionKind.INDICATOR_BOX
@@ -128,7 +129,7 @@ def test_c5_integer_values(haar_problem, d4_problem):
     transfer = build_transfer_matrix(d4_problem, candidate_points(d4_problem))
     result = integer_values(transfer)
     assert result.eigenspace_dimension == 1
-    values = result.values
+    values = result.values.as_dict()
     assert values[(1,)] == pytest.approx((1 + SQRT3) / 2, abs=1e-10)
     assert values[(2,)] == pytest.approx((1 - SQRT3) / 2, abs=1e-10)
     for point, value in values.items():
@@ -144,7 +145,7 @@ def test_c5_integer_values(haar_problem, d4_problem):
 # --- criterion 6: refinement fidelity -----------------------------------------
 
 def test_c6a_haar_refinement_is_exact_indicator(haar_problem):
-    table = refine_values(haar_problem, {(0,): 1.0, (1,): 0.0}, 6)
+    table = refine_values(haar_problem, seed_from({(0,): 1.0, (1,): 0.0}), 6)
     for level in range(7):
         for (k,), value in table.levels[level].items():
             assert value == (1.0 if 0 <= k < 2**level else 0.0)
@@ -204,7 +205,7 @@ def test_c7_conservation_and_consistency(haar_problem, d4_problem, quincunx_prob
     transfer = build_transfer_matrix(d4_problem, candidate_points(d4_problem))
     d4_values = integer_values(transfer).values
     d4_table = refine_values(d4_problem, d4_values, 4)
-    haar_table = refine_values(haar_problem, {(0,): 1.0, (1,): 0.0}, 4)
+    haar_table = refine_values(haar_problem, seed_from({(0,): 1.0, (1,): 0.0}), 4)
     for problem, table in ((d4_problem, d4_table), (haar_problem, haar_table)):
         for level in range(1, 5):
             for (k,), value in table.levels[level - 1].items():

@@ -133,12 +133,13 @@ def test_shared_arrays_are_read_only():
     structure = problem.matrix.jordan_structure
     bound = bounds.best_bound(problem)
     assert isinstance(bound, bounds.TransformedBox)
-    for array in (transfer.matrix, structure.transform, structure.transform_inverse,
-                  bound.transform, bound.transform_inverse):
+    points = pointwise.candidate_points(problem)
+    assert points.dtype == np.int64 and transfer.points is points
+    for array in (points, transfer.matrix, structure.transform,
+                  structure.transform_inverse, bound.transform, bound.transform_inverse):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
-    assert isinstance(pointwise.candidate_points(problem), tuple)
 
 
 def test_errors_are_not_kept():
@@ -168,10 +169,12 @@ def test_memo_cannot_leak_between_tests(fixture, request):
     # ... equals what a fresh instance computes for itself, as a new object
     assert cli._bound_record(bounds.best_bound(fresh)) == cli._bound_record(kept[0])
     assert bounds.best_bound(fresh) is not kept[0]
-    assert pointwise.candidate_points(fresh) == kept[1]
+    assert np.array_equal(pointwise.candidate_points(fresh), kept[1])
     assert pointwise.candidate_points(fresh) is not kept[1]
     assert np.array_equal(pointwise.transfer_matrix(fresh).matrix, kept[2].matrix)
     # and nothing kept can be modified
+    with pytest.raises(ValueError):
+        kept[1][0, 0] += 1
     with pytest.raises(ValueError):
         kept[2].matrix[0, 0] += 1.0
     with pytest.raises(AttributeError):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from refinable import problem_from_data
 from refinable.cascade import SampledFunction
 from refinable.errors import IndexOverflow
-from refinable.linalg import DilationMatrix, IntMatrix, adjugate, determinant, is_dilation
+from refinable.linalg import DilationMatrix, IntMatrix, adjugate, determinant
 from refinable.mask import COSET_UNIFORM_TOL, _coset_representatives, coset_sum_report
 from refinable.pointwise import ValueTable, periodization_check
 
@@ -104,7 +104,7 @@ def dilation_rows(draw):
             min_size=d, max_size=d,
         )
     )
-    assume(bool(is_dilation(IntMatrix.from_rows(rows))))
+    assume(bool(DilationMatrix.from_rows(rows).dilation_check))
     return d, rows
 
 

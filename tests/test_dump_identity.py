@@ -73,7 +73,7 @@ def test_refine_dump_is_the_padded_dump_without_zero_rows(problem):
     the oracle's order."""
     _, _, values = resolve_values(problem, left_closed=True)
     table = refine_values(problem, values, 6)
-    oracle = reference_refine(problem, values, 6)
+    oracle = reference_refine(problem, values.as_dict(), 6)
     assert sorted(table.samples) == sorted(oracle) == list(range(7))
     for level, sampled in sorted(table.samples.items()):
         buffer = io.StringIO()

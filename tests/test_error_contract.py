@@ -17,12 +17,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from refinable import cli, parse_problem
 from refinable.bounds import best_bound
-from refinable.errors import RefinableError
+from refinable.errors import ParseError, RefinableError
 from refinable.pointwise import _enumeration_halves
 
 # level-0 enumeration boxes above this many points give candidate sets whose
@@ -161,3 +162,48 @@ def test_every_subcommand_keeps_the_error_contract(text):
             assert len(errors) <= 1, (argv, err)
             if errors:
                 event(f"{template[0]}: {errors[0].strip()}")
+
+
+# Mask indices whose squared norm is beyond float range.  mask_radius takes
+# the square root of that exact integer, and the bounds take the norm of
+# each index in floats, so such a problem is refused when it is parsed.
+HUGE_INDEX = {
+    "radius": (1, [[2]], [[0], [10**160]]),
+    "parallelepiped": (2, [[0, 1], [3, 1]], [[10**400, 0]]),
+}
+
+
+@pytest.mark.parametrize(
+    "template",
+    [["analyze"], ["bound"], ["values"], ["cascade", "--outdir", "{out}"],
+     ["refine", "--left-closed", "--outdir", "{out}"], ["check"]],
+    ids=lambda t: t[0],
+)
+@pytest.mark.parametrize("case", sorted(HUGE_INDEX))
+def test_index_beyond_float_range_is_a_parse_error(case, template, tmp_path):
+    d, matrix, taps = HUGE_INDEX[case]
+    coefficients = [{"q": q, "c": f"1/{len(taps)}"} for q in taps]
+    doc = tmp_path / "problem.json"
+    doc.write_text(json.dumps({"dimension": d, "matrix": matrix, "coefficients": coefficients}))
+    argv = [template[0], str(doc)] + [a.replace("{out}", str(tmp_path / "out")) for a in template[1:]]
+    code, out, err = run_main(argv)
+    assert code == 2
+    assert ERROR_LINE.findall(err) == ["error: ParseError: "]
+    assert err.count("\n") == 1 and out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_representable_index_keeps_the_radius_formula():
+    """The largest index whose square converts to a float is accepted with
+    the radius sqrt(q^2); one more is refused."""
+    limit = math.isqrt(2**1024 - 2**970 - 1)
+    problem = parse_problem(json.dumps({
+        "dimension": 1, "matrix": [[2]],
+        "coefficients": [{"q": [0], "c": "1/2"}, {"q": [limit], "c": "1/2"}],
+    }))
+    assert problem.mask.radius == math.sqrt(limit * limit)
+    with pytest.raises(ParseError):
+        parse_problem(json.dumps({
+            "dimension": 1, "matrix": [[2]],
+            "coefficients": [{"q": [0], "c": "1/2"}, {"q": [limit + 1], "c": "1/2"}],
+        }))

@@ -16,7 +16,7 @@ from refinable.cascade import (
     _WRITE_CHUNK, _formatted, refinement_step, sample_header, write_rows,
 )
 from refinable.errors import EnumerationTooLarge, IndexOverflow, RefinableError
-from refinable.linalg import DilationMatrix, IntMatrix, integer_power, is_dilation
+from refinable.linalg import DilationMatrix, integer_power
 
 from oracle import per_row_reference
 
@@ -51,7 +51,7 @@ def dilations(draw):
             min_size=d, max_size=d,
         )
     )
-    assume(bool(is_dilation(IntMatrix.from_rows(rows))))
+    assume(bool(DilationMatrix.from_rows(rows).dilation_check))
     return d, rows
 
 

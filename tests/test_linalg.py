@@ -13,9 +13,7 @@ from refinable import (
     determinant,
     eigenvalues,
     integer_power,
-    is_dilation,
     operator_norm,
-    real_jordan_structure,
 )
 from refinable.errors import ComplexSpectrum, SingularMatrix
 
@@ -176,20 +174,20 @@ class TestEigenvalues:
 
 class TestDilationCheck:
     def test_skew_matrix_is_dilation(self):
-        assert bool(is_dilation(SKEW))
+        assert bool(DilationMatrix(SKEW).dilation_check)
 
     def test_identity_is_not(self):
-        check = is_dilation(IntMatrix.from_rows([[1, 0], [0, 1]]))
+        check = DilationMatrix.from_rows([[1, 0], [0, 1]]).dilation_check
         assert not check
         assert check.offending
 
     def test_triangular_spectrum_with_unit_eigenvalue(self):
-        check = is_dilation(IntMatrix.from_rows([[1, 1], [0, 2]]))
+        check = DilationMatrix.from_rows([[1, 1], [0, 2]]).dilation_check
         assert not check
         assert any(abs(z - 1) < 1e-9 for z in check.offending)
 
     def test_singular_is_not(self):
-        assert not is_dilation(IntMatrix.from_rows([[1, 2], [2, 4]]))
+        assert not DilationMatrix.from_rows([[1, 2], [2, 4]]).dilation_check
 
 
 class TestPowerInverseNorm:
@@ -220,20 +218,20 @@ class TestPowerInverseNorm:
             IntMatrix.from_rows([[1, 2], [-2, -1]]),
         ]
         for mat in matrices:
-            assert bool(is_dilation(mat))
+            assert bool(DilationMatrix(mat).dilation_check)
             assert any(power_inverse_norm(mat, n) < 1 for n in range(1, 65))
 
 
 class TestJordanStructure:
     def test_diagonal(self):
-        structure = real_jordan_structure(IntMatrix.from_rows([[2, 0], [0, 3]]))
+        structure = DilationMatrix.from_rows([[2, 0], [0, 3]]).jordan_structure
         assert structure.blocks == ((2.0, 1), (3.0, 1))
         # identity up to column scaling
         c = np.abs(structure.transform)
         assert c == pytest.approx(np.eye(2), abs=1e-12)
 
     def test_defective_block(self):
-        structure = real_jordan_structure(IntMatrix.from_rows([[2, 0], [1, 2]]))
+        structure = DilationMatrix.from_rows([[2, 0], [1, 2]]).jordan_structure
         assert structure.blocks == ((2.0, 2),)
 
     @pytest.mark.parametrize(
@@ -242,34 +240,34 @@ class TestJordanStructure:
     def test_close_distinct_eigenvalues_stay_apart(self, rows):
         # the two eigenvalues differ by 1e-6 relative; exact multiplicities
         # keep them as two blocks
-        structure = real_jordan_structure(IntMatrix.from_rows(rows))
+        structure = DilationMatrix.from_rows(rows).jordan_structure
         assert structure.blocks == ((1000000.0, 1), (1000001.0, 1))
 
     def test_complex_spectrum_rejected(self):
         with pytest.raises(ComplexSpectrum):
-            real_jordan_structure(IntMatrix.from_rows([[1, 1], [-1, 1]]))
+            DilationMatrix.from_rows([[1, 1], [-1, 1]]).jordan_structure
 
     def test_mixed_blocks_3x3(self):
-        structure = real_jordan_structure(
+        structure = DilationMatrix(
             IntMatrix.from_rows([[2, 0, 0], [1, 2, 0], [0, 0, 3]])
-        )
+        ).jordan_structure
         assert sorted(structure.blocks) == [(2.0, 2), (3.0, 1)]
 
     def test_two_blocks_with_equal_eigenvalue(self):
-        structure = real_jordan_structure(
+        structure = DilationMatrix(
             IntMatrix.from_rows(
                 [[2, 0, 0, 0], [1, 2, 0, 0], [0, 0, 2, 0], [0, 0, 1, 2]]
             )
-        )
+        ).jordan_structure
         assert structure.blocks == ((2.0, 2), (2.0, 2))
 
     def test_repeated_irrational_eigenvalues_are_semisimple(self):
         # block-diagonal pair with spectrum {sqrt(2), -sqrt(2)}, each twice
-        structure = real_jordan_structure(
+        structure = DilationMatrix(
             IntMatrix.from_rows(
                 [[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]]
             )
-        )
+        ).jordan_structure
         assert tuple(size for _, size in structure.blocks) == (1, 1, 1, 1)
         root2 = 2.0**0.5
         for lam, _ in structure.blocks:
@@ -287,14 +285,14 @@ class TestJordanStructure:
     )
     def test_reconstruction(self, rows):
         mat = IntMatrix.from_rows(rows)
-        structure = real_jordan_structure(mat)
+        structure = DilationMatrix(mat).jordan_structure
         a = mat.as_array()
         recon = structure.transform @ structure.jordan_matrix() @ structure.transform_inverse
         assert np.max(np.abs(recon - a)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
 
     def test_block_sizes_reproduce_rank_sequence(self):
         mat = IntMatrix.from_rows([[3, 1, 0], [0, 3, 1], [0, 0, 3]])
-        structure = real_jordan_structure(mat)
+        structure = DilationMatrix(mat).jordan_structure
         assert structure.blocks == ((3.0, 3),)
         n = mat.as_array() - 3 * np.eye(3)
         ranks = [np.linalg.matrix_rank(np.linalg.matrix_power(n, k)) for k in (1, 2, 3)]

@@ -29,6 +29,8 @@ from refinable.errors import (
     NoUnitEigenvalue,
 )
 
+from oracle import seed_from
+
 SQRT3 = math.sqrt(3.0)
 
 
@@ -88,26 +90,26 @@ def d4_oracle_refine(levels):
 
 class TestCandidatePoints:
     def test_haar(self, haar_problem):
-        assert candidate_points(haar_problem) == ((-1,), (0,), (1,))
+        assert candidate_points(haar_problem).tolist() == [[-1], [0], [1]]
 
     def test_d4(self, d4_problem):
         points = candidate_points(d4_problem)
-        assert points == tuple((k,) for k in range(-3, 4))
+        assert points.tolist() == [[k] for k in range(-3, 4)]
         assert len(points) == 7
 
     def test_quincunx_matches_brute_enumeration(self, quincunx_problem):
         radius = math.sqrt(2.0) + 1.0
-        expected = tuple(
-            (i, j)
+        expected = [
+            [i, j]
             for i in range(-3, 4)
             for j in range(-3, 4)
             if math.hypot(i, j) <= radius + 1e-9
-        )
-        assert candidate_points(quincunx_problem) == expected
+        ]
+        assert candidate_points(quincunx_problem).tolist() == expected
 
     def test_lexicographic_order(self, jordan2d_problem):
-        points = candidate_points(jordan2d_problem)
-        assert list(points) == sorted(points)
+        points = candidate_points(jordan2d_problem).tolist()
+        assert points == sorted(points)
 
 
 class TestTransferMatrix:
@@ -127,9 +129,9 @@ class TestTransferMatrix:
 
     def test_single_point_system(self):
         # a 1x1 transfer matrix [m * c_0] with a unit fixed point
-        transfer = TransferMatrix(((0,),), np.array([[1.0]]))
+        transfer = TransferMatrix(np.array([[0]]), np.array([[1.0]]))
         result = integer_values(transfer)
-        assert result.values == {(0,): 1.0}
+        assert result.values.as_dict() == {(0,): 1.0}
 
     def test_rejects_duplicates(self, haar_problem):
         with pytest.raises(ValueError):
@@ -142,12 +144,12 @@ class TestIntegerValues:
         result = integer_values(transfer)
         assert result.eigenspace_dimension == 1
         assert result.normalized
-        values = result.values
+        values = result.values.as_dict()
         assert values[(1,)] == pytest.approx((1 + SQRT3) / 2, abs=1e-10)
         assert values[(2,)] == pytest.approx((1 - SQRT3) / 2, abs=1e-10)
         for point in ((-3,), (-2,), (-1,), (0,), (3,)):
             assert abs(values[point]) <= 1e-10
-            assert point in result.structural_zeros
+            assert list(point) in result.structural_zeros.tolist()
         assert math.fsum(values.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_d4_eigen_residual(self, d4_problem):
@@ -169,24 +171,24 @@ class TestIntegerValues:
             assert abs(vec[0]) <= 1e-12  # entry at point -1 is forced to zero
 
     def test_no_unit_eigenvalue(self):
-        transfer = TransferMatrix(((0,), (1,)), 0.5 * np.eye(2))
+        transfer = TransferMatrix(np.array([[0], [1]]), 0.5 * np.eye(2))
         with pytest.raises(NoUnitEigenvalue):
             integer_values(transfer)
 
     def test_normalization_impossible(self):
-        transfer = TransferMatrix(((0,), (1,)), np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        transfer = TransferMatrix(np.array([[0], [1]]), np.array([[0.0, -1.0], [-1.0, 0.0]]))
         with pytest.raises(NormalizationImpossible):
             integer_values(transfer)
 
     def test_converged_iteration_matches_eigenvector(self, d4_problem):
-        converged = converged_integer_values(d4_problem)
+        converged = converged_integer_values(d4_problem).as_dict()
         transfer = build_transfer_matrix(d4_problem, candidate_points(d4_problem))
-        values = integer_values(transfer).values
+        values = integer_values(transfer).values.as_dict()
         for point, value in converged.items():
             assert value == pytest.approx(values[point], abs=1e-12)
 
     def test_converged_iteration_haar_left_closed(self, haar_problem):
-        converged = converged_integer_values(haar_problem)
+        converged = converged_integer_values(haar_problem).as_dict()
         assert converged[(0,)] == pytest.approx(1.0, abs=1e-14)
         assert converged[(1,)] == pytest.approx(0.0, abs=1e-14)
 
@@ -196,7 +198,7 @@ class TestResolveValues:
         for left_closed in (False, True):
             result, notes, values = resolve_values(d4_problem, left_closed)
             assert result.normalized and notes == []
-            assert values == result.values
+            assert values is result.values
 
     def test_haar_without_tie_break_has_no_values(self, haar_problem):
         result, notes, values = resolve_values(haar_problem, False)
@@ -206,7 +208,9 @@ class TestResolveValues:
     def test_haar_left_closed_is_the_indicator(self, haar_problem):
         result, notes, values = resolve_values(haar_problem, True)
         assert notes[-1] == "left-closed tie-break applied"
-        assert values.keys() == set(result.points)
+        assert values.indices is result.points
+        values = values.as_dict()
+        assert values.keys() == set(map(tuple, result.points.tolist()))
         assert values[(0,)] == pytest.approx(1.0, abs=1e-12)
         assert values[(1,)] == pytest.approx(0.0, abs=1e-12)
         assert math.fsum(values.values()) == pytest.approx(1.0, abs=1e-12)
@@ -214,7 +218,7 @@ class TestResolveValues:
 
 class TestRefineValues:
     def test_haar_is_exact_indicator(self, haar_problem):
-        table = refine_values(haar_problem, {(0,): 1.0, (1,): 0.0}, 6)
+        table = refine_values(haar_problem, seed_from({(0,): 1.0, (1,): 0.0}), 6)
         assert table.normalized
         for level in range(0, 7):
             for k, value in table.levels[level].items():
@@ -251,7 +255,7 @@ class TestRefineValues:
 
     def test_seed_outside_candidates_rejected(self, haar_problem):
         with pytest.raises(DomainTooSmall):
-            refine_values(haar_problem, {(5,): 1.0}, 1)
+            refine_values(haar_problem, seed_from({(5,): 1.0}), 1)
 
     def test_escaping_seed_aborts(self):
         # contractive ball and parallelepiped bounds are one-step invariant
@@ -267,15 +271,15 @@ class TestRefineValues:
             ],
         )
         points = candidate_points(problem)
-        assert (2, 0) in points
+        assert [2, 0] in points.tolist()
         # (2,0) + (1,0) maps to M^-1 (3,0) = (-1, 2), norm sqrt(5) > 2
         with pytest.raises(DomainTooSmall):
-            refine_values(problem, {(2, 0): 1.0}, 2)
+            refine_values(problem, seed_from({(2, 0): 1.0}), 2)
 
     def test_matches_cascade_bitwise_for_haar(self, haar_problem):
         # identical seeds drive the identical kernel: the box-seeded cascade
         # and the left-closed refinement agree exactly on common indices
-        table = refine_values(haar_problem, {(0,): 1.0}, 6)
+        table = refine_values(haar_problem, seed_from({(0,): 1.0}), 6)
         cascade = run_cascade(haar_problem, InitialFunctionKind.INDICATOR_BOX, 6)
         for f in cascade:
             stored = table.levels[f.level]
@@ -285,7 +289,7 @@ class TestRefineValues:
 
 class TestPeriodization:
     def test_haar_dyadic_probes_exact(self, haar_problem):
-        table = refine_values(haar_problem, {(0,): 1.0, (1,): 0.0}, 3)
+        table = refine_values(haar_problem, seed_from({(0,): 1.0, (1,): 0.0}), 3)
         checks = periodization_check(
             haar_problem, table, 3, [[0.0], [0.125], [0.5], [0.875]]
         )
@@ -302,7 +306,7 @@ class TestPeriodization:
             assert deviation <= 1e-8
 
     def test_off_lattice_probe_rejected(self, haar_problem):
-        table = refine_values(haar_problem, {(0,): 1.0}, 1)
+        table = refine_values(haar_problem, seed_from({(0,): 1.0}), 1)
         with pytest.raises(ValueError):
             periodization_check(haar_problem, table, 1, [[1.0 / 3.0]])
 
@@ -311,7 +315,7 @@ class TestExport:
     def test_haar_row_count(self, haar_problem):
         # level 0 stores the three candidates, level 1 the five indices with
         # lattice point inside [-1, 1]
-        table = refine_values(haar_problem, {(0,): 1.0, (1,): 0.0}, 1)
+        table = refine_values(haar_problem, seed_from({(0,): 1.0, (1,): 0.0}), 1)
         buffer = io.StringIO()
         export_values(haar_problem, table, buffer)
         lines = buffer.getvalue().strip().split("\n")
@@ -335,9 +339,9 @@ class TestExport:
         with pytest.warns(NonUniqueWarning):
             result = integer_values(transfer)
         # refine from an explicit seed since the eigenspace is not unique
-        seed = {p: 0.0 for p in result.points}
+        seed = {p: 0.0 for p in map(tuple, result.points.tolist())}
         seed[(0, 0)] = 1.0
-        table = refine_values(quincunx_problem, seed, 2)
+        table = refine_values(quincunx_problem, seed_from(seed), 2)
         one, two = io.StringIO(), io.StringIO()
         export_values(quincunx_problem, table, one)
         export_values(quincunx_problem, table, two)
