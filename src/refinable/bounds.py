@@ -28,6 +28,7 @@ from .errors import (
     ComplexSpectrum,
     ContractionSearchExhausted,
     IllConditionedTransform,
+    NonFiniteArithmetic,
     NormNotContractive,
     NotDiagonal,
     NotDilation1D,
@@ -282,16 +283,25 @@ def parallelepiped_bound(problem: Problem) -> TransformedBox:
     P collects the per-block half-widths of :func:`jordan_block_bound`; the
     translations seen in the transformed coordinates are C^-1 q, so their
     largest norm replaces the plain mask radius (the two agree whenever C
-    is orthogonal).
+    is orthogonal).  Translations or half-widths beyond float range are
+    refused with NonFiniteArithmetic.
     """
     structure = problem.matrix.jordan_structure
     cinv = structure.transform_inverse
-    q_eff = 0.0
-    for q in problem.mask.support:
-        q_eff = max(q_eff, float(np.linalg.norm(cinv @ np.asarray(q, dtype=float))))
+    # a norm that overflows is refused below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [
+            float(np.linalg.norm(cinv @ np.asarray(q, dtype=float)))
+            for q in problem.mask.support
+        ]
+    q_eff = max([0.0, *norms])
     halves: list[float] = []
     for lam, size in structure.blocks:
         halves.extend(jordan_block_bound(lam, size, q_eff))
+    if not all(map(math.isfinite, [*norms, *halves])):
+        raise NonFiniteArithmetic(
+            "the Jordan parallelepiped's translations or half-widths overflow a float"
+        )
     return TransformedBox(
         structure.transform,
         cinv,

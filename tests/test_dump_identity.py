@@ -1,10 +1,12 @@
 """The one writer on real data: the cascade and refine dumps of the five
 bundled problems equal the per-row reference byte for byte.  Their columns
-mostly repeat values (tile masks give small-integer cascade values, and
-refinement stores exact zeros at the images M k), which is what the writer's
-per-chunk tables of distinct values rely on; the Daubechies cascade is the
-all-distinct contrast.  Each refine level's dump is the padded oracle's dump
-less rows whose value is 0.0."""
+mostly repeat values (tile masks give small-integer cascade values,
+refinement stores exact zeros at the images M k, and a coordinate that
+depends only on the leading indices is constant along runs of the sorted
+rows), which the writer's run path, one formatted head per run of equal
+cells, relies on; the Daubechies cascade is the all-distinct contrast.  Each
+refine level's dump is the padded oracle's dump less rows whose value is
+0.0."""
 
 import io
 from pathlib import Path

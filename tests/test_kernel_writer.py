@@ -4,6 +4,7 @@ for oversized enumerations and int64 index overflow."""
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,16 +12,18 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from refinable import cli, pointwise, problem_from_data
+from refinable import cascade, cli, parse_problem, pointwise, problem_from_data, run_cascade
 from refinable.cascade import (
-    _WRITE_CHUNK, _formatted, refinement_step, sample_header, write_rows,
+    _RUN_MIN, _WRITE_CHUNK, _formatted, refinement_step, sample_header, write_rows,
+    write_samples,
 )
 from refinable.errors import EnumerationTooLarge, IndexOverflow, RefinableError
 from refinable.linalg import DilationMatrix, integer_power
 
 from oracle import per_row_reference
 
-SKEW3 = Path(__file__).resolve().parent.parent / "demos" / "problems" / "skew3.json"
+PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
+SKEW3 = PROBLEMS / "skew3.json"
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +260,159 @@ def test_writer_matches_per_row_format_on_repeated_values(case):
     # without a text diff of the whole dump
     got = written(MATRICES[d], blocks).splitlines(keepends=True)
     assert got == per_row_reference(MATRICES[d], blocks).splitlines(keepends=True)
+
+
+# ---------------------------------------------------------------------------
+# runs of bitwise-equal cells: one head formatted per run
+# ---------------------------------------------------------------------------
+
+def runs(bits, lengths):
+    """The float column holding each head, given by its bits, repeated by
+    its run length; NaN payloads and the sign of zero are kept."""
+    heads = np.asarray(bits, dtype=np.int64).view(np.float64)
+    return np.repeat(heads, lengths)
+
+
+def bits_of(*values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+NAN_PAYLOADS = [0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000,
+                0x7FF0000000000001]
+
+
+def assert_formats_like_repr(column):
+    for suffix in ("", "\n7"):
+        assert _formatted(column, suffix) == [repr(x) + suffix for x in column.tolist()]
+
+
+def formatted_lengths(monkeypatch, column):
+    """The lengths of the columns ``_formatted(column)`` hands to orjson,
+    checked against ``repr``."""
+    seen = []
+    cells = cascade._cells
+
+    def spy(part, suffix):
+        seen.append(len(part))
+        return cells(part, suffix)
+
+    monkeypatch.setattr(cascade, "_cells", spy)
+    assert_formats_like_repr(column)
+    return seen[:1]
+
+
+@pytest.mark.parametrize(
+    ("bits", "lengths"),
+    [
+        (bits_of(1.0), [5000]),
+        (bits_of(-0.0), [3]),
+        (bits_of(0.0, -0.0) * 4, [3, 1, 2, 5, 1, 1, 4, 2]),
+        (NAN_PAYLOADS + bits_of(math.inf, -math.inf, math.inf), [2, 3, 2, 4, 3, 5, 2]),
+        (bits_of(1e-05, 1e16, 5e-324, -1e-05, 1e300, 2.5e-310), [4, 2, 3, 2, 6, 2]),
+    ],
+    ids=["constant", "one-zero", "zeros", "non-finite", "exponents"],
+)
+def test_runs_format_like_repr(monkeypatch, bits, lengths):
+    # as drawn, and with every run stretched until the column is long
+    # enough to be formatted one head per run
+    assert_formats_like_repr(runs(bits, lengths))
+    stretch = -(-_RUN_MIN // sum(lengths))
+    long = runs(bits, [k * stretch for k in lengths])
+    assert formatted_lengths(monkeypatch, long) == [len(bits)]
+
+
+def test_short_columns_are_formatted_cell_by_cell(monkeypatch):
+    column = np.full(_RUN_MIN - 1, 0.25)
+    assert formatted_lengths(monkeypatch, column) == [_RUN_MIN - 1]
+    assert formatted_lengths(monkeypatch, np.append(column, 0.25)) == [1]
+
+
+@pytest.mark.parametrize("n", [_RUN_MIN, _RUN_MIN + 1, _RUN_MIN + 10, _WRITE_CHUNK])
+def test_runs_taken_when_they_halve_the_cells(monkeypatch, n):
+    # n // 2 runs format one head each; one run more formats every cell
+    half = n // 2
+    below = runs(bits_of(*np.arange(half, dtype=float)), [2] * (half - 1) + [n - 2 * half + 2])
+    assert formatted_lengths(monkeypatch, below) == [half]
+    lengths = [1] * (half + 1)
+    lengths[-1] = n - half
+    above = runs(bits_of(*np.arange(half + 1, dtype=float)), lengths)
+    assert formatted_lengths(monkeypatch, above) == [n]
+
+
+def test_integer_columns_are_formatted_cell_by_cell(monkeypatch):
+    column = np.repeat(np.arange(3, dtype=np.int64), 100)
+    assert formatted_lengths(monkeypatch, column) == [300]
+
+
+def test_run_across_a_chunk_boundary():
+    matrix = MATRICES[2]
+    n = 2 * _WRITE_CHUNK + 9
+    # one run of each value spans the first boundary and one the second
+    values = runs(bits_of(0.25, -0.0, 1e-05, 0.25), [_WRITE_CHUNK - 3, 6, _WRITE_CHUNK, 6])
+    indices = np.stack([np.repeat(np.arange(3), [_WRITE_CHUNK - 1, 4, n - _WRITE_CHUNK - 3]),
+                        np.arange(n)], axis=1).astype(np.int64)
+    blocks = [(3, indices, values)]
+    assert written(matrix, blocks) == per_row_reference(matrix, blocks)
+
+
+RUN_HEADS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-05, 1e16, 5e-324, 0.5, math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def run_length_columns(draw):
+    """d, lexicographically sorted index rows whose leading column runs
+    with the values, and a sorted value column given as runs of drawn
+    heads."""
+    d = draw(st.integers(1, 3))
+    heads = sorted(draw(st.lists(RUN_HEADS, min_size=1, max_size=12)))
+    lengths = draw(st.lists(st.integers(1, 300), min_size=len(heads), max_size=len(heads)))
+    values = runs(bits_of(*heads), lengths)
+    n = len(values)
+    leading = np.repeat(np.arange(len(heads), dtype=np.int64) - 5, lengths)
+    rest = [np.arange(n, dtype=np.int64)] * (d - 1)
+    return d, np.stack([leading, *rest], axis=1), values
+
+
+@settings(max_examples=40, deadline=None)
+@given(run_length_columns())
+def test_writer_matches_per_row_format_on_runs(case):
+    d, indices, values = case
+    assert_formats_like_repr(values)
+    blocks = [(2, indices, values)]
+    got = written(MATRICES[d], blocks).splitlines(keepends=True)
+    assert got == per_row_reference(MATRICES[d], blocks).splitlines(keepends=True)
+
+
+class Discard:
+    def write(self, text):
+        pass
+
+
+# The largest levels the cascade-deep benchmark dumps, and a bound on the
+# writer's tracemalloc peak on each: at 4096-row chunks it read 1.90 MB on
+# skew3 (19,683 rows) and 1.37 MB on shear2d (16,384 rows), and 3.48 and
+# 2.47 MB at 8192 rows, so a longer chunk fails here before it can raise the
+# benchmark's peak RSS unnoticed.
+WRITER_PEAKS_MB = {"skew3": (9, 2.4), "shear2d": (7, 1.8)}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_PEAKS_MB))
+def test_writer_memory_peak(name):
+    level, limit_mb = WRITER_PEAKS_MB[name]
+    problem = parse_problem((PROBLEMS / f"{name}.json").read_text())
+    top = run_cascade(problem, levels=level)[-1]
+    write_samples(problem, [top], Discard())  # imports orjson, caches M^-n
+    tracemalloc.start()
+    try:
+        write_samples(problem, [top], Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(top.values) > 16_000
+    assert peak <= limit_mb * 1e6, peak
 
 
 def read_x_columns(outdir):
