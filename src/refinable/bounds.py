@@ -13,12 +13,14 @@ the inverse dilation matrix:
   k steps at a time until ||M^-k|| < 1.
 
 All bounds are centered at the origin and carry a ``provenance`` string
-naming the rule that produced them.
+naming the rule that produced them.  Each kind answers three questions, and
+callers ask nothing else of it: ``contains_many`` (which rows of points lie
+inside), ``extents(power)`` (the per-coordinate half-extents of the image
+``power . bound``) and ``record()`` (the plain dict that reports print).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -73,13 +75,15 @@ class Ball:
     dim: int
     provenance: str
 
-    def contains(self, point) -> bool:
-        x = np.asarray(point, dtype=float)
-        return float(np.linalg.norm(x)) <= self.radius + _MEMBERSHIP_TOL * max(1.0, self.radius)
-
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return _row_norms(pts) <= self.radius + _MEMBERSHIP_TOL * max(1.0, self.radius)
+
+    def extents(self, power: np.ndarray) -> np.ndarray:
+        return np.array([self.radius * float(np.linalg.norm(row)) for row in power])
+
+    def record(self) -> dict:
+        return {"provenance": self.provenance, "kind": "ball", "radius": self.radius}
 
 
 @dataclass(frozen=True)
@@ -93,13 +97,18 @@ class Box:
     def dim(self) -> int:
         return len(self.half_widths)
 
-    def contains(self, point) -> bool:
-        x = np.asarray(point, dtype=float)
-        h = np.asarray(self.half_widths, dtype=float)
-        return bool(np.all(np.abs(x) <= h + _MEMBERSHIP_TOL * np.maximum(1.0, h)))
-
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         return _within(np.asarray(points, dtype=float), self.half_widths)
+
+    def extents(self, power: np.ndarray) -> np.ndarray:
+        return np.abs(power) @ np.asarray(self.half_widths)
+
+    def record(self) -> dict:
+        return {
+            "provenance": self.provenance,
+            "kind": "box",
+            "half_widths": list(self.half_widths),
+        }
 
 
 @dataclass(frozen=True)
@@ -115,14 +124,22 @@ class TransformedBox:
     def dim(self) -> int:
         return len(self.half_widths)
 
-    def contains(self, point) -> bool:
-        y = self.transform_inverse @ np.asarray(point, dtype=float)
-        h = np.asarray(self.half_widths, dtype=float)
-        return bool(np.all(np.abs(y) <= h + _MEMBERSHIP_TOL * np.maximum(1.0, h)))
-
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         ys = np.asarray(points, dtype=float) @ self.transform_inverse.T
         return _within(ys, self.half_widths)
+
+    def extents(self, power: np.ndarray) -> np.ndarray:
+        # the largest |coordinate| over the vertices of power C P, reached at
+        # the vertex whose signs match each row of power C
+        return np.abs(power @ self.transform) @ np.asarray(self.half_widths)
+
+    def record(self) -> dict:
+        return {
+            "provenance": self.provenance,
+            "kind": "transformed-box",
+            "half_widths": list(self.half_widths),
+            "transform": [list(map(float, row)) for row in self.transform],
+        }
 
 
 SupportBound = Ball | Box | TransformedBox
@@ -321,18 +338,8 @@ def _snapped_ceil(x: float) -> int:
 
 def enclosing_integer_box(bound: SupportBound) -> Box:
     """Smallest origin-centered box with integer half-widths containing the
-    bound; transformed boxes are measured through their vertex images."""
-    if isinstance(bound, Ball):
-        h = _snapped_ceil(bound.radius)
-        halves = (float(h),) * bound.dim
-    elif isinstance(bound, Box):
-        halves = tuple(float(_snapped_ceil(x)) for x in bound.half_widths)
-    else:
-        extremes = np.zeros(bound.dim)
-        for signs in itertools.product((-1.0, 1.0), repeat=bound.dim):
-            vertex = bound.transform @ (np.asarray(signs) * np.asarray(bound.half_widths))
-            extremes = np.maximum(extremes, np.abs(vertex))
-        halves = tuple(float(_snapped_ceil(x)) for x in extremes)
+    bound."""
+    halves = tuple(float(_snapped_ceil(e)) for e in bound.extents(np.eye(bound.dim)))
     return Box(halves, f"integer box of [{bound.provenance}]")
 
 

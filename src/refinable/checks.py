@@ -47,7 +47,7 @@ def run_checks(problem: Problem, iters: int, levels: int, eps: float) -> list[Ch
     record("coset-uniformity", True, "uniform" if uniform else "not uniform (reported only)")
 
     best = bounds_mod.best_bound(problem)
-    record("bound-contains-origin", best.contains((0.0,) * problem.dim))
+    record("bound-contains-origin", best.contains_many(np.zeros((1, problem.dim)))[0])
     try:
         ball = bounds_mod.ball_bound(problem)
         general = bounds_mod.general_ball_bound(problem)

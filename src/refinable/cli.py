@@ -91,21 +91,19 @@ def _emit(data: dict, table_lines: list[str], output_format: str) -> None:
         print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _bound_lines(problem: Problem, applicable: list) -> list[str]:
+def _bound_lines(problem: Problem, records: list[dict]) -> list[str]:
     lines = []
-    for bound in applicable:
-        if isinstance(bound, bounds_mod.Ball):
-            lines.append(f"{bound.provenance}: radius {_fmt(bound.radius)}")
-        elif isinstance(bound, bounds_mod.Box):
-            widths = ", ".join(_fmt(h) for h in bound.half_widths)
-            lines.append(f"{bound.provenance}: half-widths ({widths})")
+    for rec in records:
+        if "radius" in rec:
+            shape = f"radius {_fmt(rec['radius'])}"
         else:
-            widths = ", ".join(_fmt(h) for h in bound.half_widths)
-            lines.append(f"{bound.provenance}: P half-widths ({widths})")
-            for row in bound.transform:
-                lines.append(
-                    "  transform row: " + ", ".join(_fmt(x) for x in row)
-                )
+            widths = ", ".join(_fmt(h) for h in rec["half_widths"])
+            shape = f"{'P ' if 'transform' in rec else ''}half-widths ({widths})"
+        lines.append(f"{rec['provenance']}: {shape}")
+        lines.extend(
+            "  transform row: " + ", ".join(_fmt(x) for x in row)
+            for row in rec.get("transform", ())
+        )
     try:
         bounds_mod.ball_bound(problem)
     except NormNotContractive as exc:
@@ -172,35 +170,18 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _bound_record(bound) -> dict:
-    if isinstance(bound, bounds_mod.Ball):
-        return {"provenance": bound.provenance, "kind": "ball", "radius": bound.radius}
-    if isinstance(bound, bounds_mod.Box):
-        return {
-            "provenance": bound.provenance,
-            "kind": "box",
-            "half_widths": list(bound.half_widths),
-        }
-    return {
-        "provenance": bound.provenance,
-        "kind": "transformed-box",
-        "half_widths": list(bound.half_widths),
-        "transform": [list(map(float, row)) for row in bound.transform],
-    }
-
-
 def _cmd_bound(args) -> int:
     problem = _load_problem(args.problem)
     best = bounds_mod.best_bound(problem)
     box = bounds_mod.enclosing_integer_box(best)
-    applicable = bounds_mod.applicable_bounds(problem)
+    records = [b.record() for b in bounds_mod.applicable_bounds(problem)]
     data = {
-        "bounds": [_bound_record(b) for b in applicable],
+        "bounds": records,
         "selected": best.provenance,
         "integer_box_half_widths": [int(h) for h in box.half_widths],
     }
     widths = ", ".join(str(int(h)) for h in box.half_widths)
-    lines = _bound_lines(problem, applicable) + [
+    lines = _bound_lines(problem, records) + [
         f"selected: {best.provenance}",
         f"integer-box: half-widths ({widths})",
     ]

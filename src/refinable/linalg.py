@@ -363,15 +363,18 @@ def _roots_of_squarefree(coeffs: list[int]) -> list[complex]:
     except np.linalg.LinAlgError as exc:
         raise RootFindingFailure(str(exc)) from exc
     dcf = [c * (n - i) / lead for i, c in enumerate(coeffs[:-1])]
+
+    def scale(z: complex) -> float:
+        # backward-error bound: |f(z)| is judged against the evaluation scale
+        return max(sum(abs(c) * max(1.0, abs(z)) ** (n - i) for i, c in enumerate(cf)), 1.0)
+
     roots = []
     for z0 in start:
         z = complex(z0)
         converged = False
         for _ in range(NEWTON_MAX_ITER):
             fz = _poly_eval(cf, z)
-            # backward-error bound: |f(z)| against the evaluation scale
-            scale = sum(abs(c) * max(1.0, abs(z)) ** (len(cf) - 1 - i) for i, c in enumerate(cf))
-            if abs(fz) <= 1e-14 * max(scale, 1.0):
+            if abs(fz) <= 1e-14 * scale(z):
                 converged = True
                 break
             dfz = _poly_eval(dcf, z)
@@ -380,8 +383,7 @@ def _roots_of_squarefree(coeffs: list[int]) -> list[complex]:
             z = z - fz / dfz
         if not converged:
             fz = _poly_eval(cf, z)
-            scale = sum(abs(c) * max(1.0, abs(z)) ** (len(cf) - 1 - i) for i, c in enumerate(cf))
-            if abs(fz) > 1e-10 * max(scale, 1.0):
+            if abs(fz) > 1e-10 * scale(z):
                 raise RootFindingFailure(
                     f"Newton polish did not converge within {NEWTON_MAX_ITER} iterations"
                 )
@@ -438,11 +440,15 @@ def _spectrum_verdict(spec: Spectrum) -> DilationCheck:
 # real Jordan structure
 # ---------------------------------------------------------------------------
 
-def _null_basis(matrix: np.ndarray, tol: float) -> np.ndarray:
+def _null_basis(matrix: np.ndarray, base_scale: float) -> tuple[np.ndarray, float]:
+    """An orthonormal basis of the numerical kernel of ``matrix`` and its
+    2-norm, the largest singular value.  A singular value counts as zero
+    up to RANK_RTOL times the larger of that norm and ``base_scale``."""
     _, sing, vt = np.linalg.svd(matrix)
-    nullity = int(np.sum(sing <= tol))
+    norm = float(sing[0])
+    nullity = int(np.sum(sing <= RANK_RTOL * max(base_scale, norm, 1e-300)))
     if nullity == 0:
-        return np.zeros((matrix.shape[0], 0))
+        return np.zeros((matrix.shape[0], 0)), norm
     basis = vt[-nullity:].T
     # canonical signs for determinism
     for j in range(basis.shape[1]):
@@ -450,7 +456,7 @@ def _null_basis(matrix: np.ndarray, tol: float) -> np.ndarray:
         k = int(np.argmax(np.abs(col)))
         if col[k] < 0:
             basis[:, j] = -col
-    return basis
+    return basis, norm
 
 
 def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure:
@@ -479,7 +485,7 @@ def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure
     columns: list[np.ndarray] = []
     for lam, mult in distinct:
         nmat = a - lam * np.eye(d)
-        base_scale = np.linalg.norm(nmat, 2)
+        base_scale = 0.0  # ||N||_2, read off the first rank test
         kernels: list[np.ndarray] = [np.zeros((d, 0))]
         nullities = [0]
         power = np.eye(d)
@@ -489,8 +495,8 @@ def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure
                     f"rank sequence of (M - {lam} I)^k is inconsistent"
                 )
             power = power @ nmat
-            tol = RANK_RTOL * max(base_scale, np.linalg.norm(power, 2), 1e-300)
-            basis = _null_basis(power, tol)
+            basis, norm = _null_basis(power, base_scale)
+            base_scale = base_scale or norm
             if basis.shape[1] > mult:
                 raise IllConditionedTransform(
                     "numerical kernel exceeds the algebraic multiplicity"

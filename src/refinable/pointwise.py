@@ -18,13 +18,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .bounds import (
-    Ball,
-    Box,
-    SupportBound,
-    best_bound,
-    enclosing_integer_box,
-)
+from .bounds import SupportBound, best_bound, enclosing_integer_box
 from .cascade import (
     SampledFunction,
     _column_hull,
@@ -80,14 +74,7 @@ def _enumeration_halves(problem: Problem, bound: SupportBound, level: int) -> li
         box = enclosing_integer_box(bound)
         halves = [int(h) for h in box.half_widths]
     else:
-        power = problem.matrix.power(level).as_array()
-        if isinstance(bound, Ball):
-            extents = [bound.radius * float(np.linalg.norm(row)) for row in power]
-        elif isinstance(bound, Box):
-            extents = list(np.abs(power) @ np.asarray(bound.half_widths))
-        else:
-            mapped = np.abs(power @ bound.transform)
-            extents = list(mapped @ np.asarray(bound.half_widths))
+        extents = bound.extents(problem.matrix.power(level).as_array())
         # one cell of margin so membership-tolerance slop cannot drop points
         halves = [int(math.ceil(e + 1e-6)) + 1 for e in extents]
     volume = math.prod(2 * h + 1 for h in halves)

@@ -167,7 +167,7 @@ def test_memo_cannot_leak_between_tests(fixture, request):
     fresh = parse_problem(serialize_problem(shared))
     assert "_artefacts" not in vars(fresh)
     # ... equals what a fresh instance computes for itself, as a new object
-    assert cli._bound_record(bounds.best_bound(fresh)) == cli._bound_record(kept[0])
+    assert bounds.best_bound(fresh).record() == kept[0].record()
     assert bounds.best_bound(fresh) is not kept[0]
     assert np.array_equal(pointwise.candidate_points(fresh), kept[1])
     assert pointwise.candidate_points(fresh) is not kept[1]

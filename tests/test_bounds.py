@@ -242,7 +242,7 @@ class TestParallelepipedBound:
         )
         for problem in problems:
             for bound in applicable_bounds(problem):
-                assert bound.contains((0.0,) * problem.dim)
+                assert bound.contains_many(np.zeros((1, problem.dim)))[0]
 
 
 class TestEnclosingIntegerBox:
