@@ -71,6 +71,16 @@ def _load_problem(path: str) -> Problem:
     return parse_problem(text)
 
 
+def _open_dump(path: Path):
+    """Open a dump file for writing, creating its directory; a path that
+    cannot be used is refused like an unreadable problem path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def _require_range(flag: str, value: float, low: int, cap: int | None = None) -> None:
     """Refuse a flag value below ``low`` (or NaN) or above the level ``cap``."""
     if not value >= low:
@@ -200,11 +210,10 @@ def _cmd_cascade(args) -> int:
     )
     iterates = cascade_mod.run_cascade(problem, kind, args.iters)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.problem).stem
     for sampled in iterates:
         path = outdir / f"{stem}.level{sampled.level}.tsv"
-        with open(path, "w") as handle:
+        with _open_dump(path) as handle:
             cascade_mod.write_samples(problem, [sampled], handle)
         box = cascade_mod.empirical_support(problem, sampled, args.eps)
         mass = cascade_mod.discrete_mass(problem, sampled)
@@ -268,12 +277,11 @@ def _cmd_refine(args) -> int:
         print(f"warning: NonUnique: {note}")
     table = pointwise_mod.refine_values(problem, values, args.levels)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.problem).stem
     for level, sampled in sorted(table.samples.items()):
         single = pointwise_mod.ValueTable({level: sampled}, table.normalized)
         path = outdir / f"{stem}.level{level}.tsv"
-        with open(path, "w") as handle:
+        with _open_dump(path) as handle:
             pointwise_mod.export_values(problem, single, handle)
         print(f"level {level}: {len(sampled.values)} lattice points -> {path}")
     return 0

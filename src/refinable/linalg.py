@@ -1,8 +1,9 @@
 """Exact and floating-point analysis of small integer matrices.
 
-Integer inputs keep the expensive questions cheap: determinants, adjugates,
-matrix powers and the characteristic polynomial are computed exactly in
-``int`` arithmetic, and the inverse power M^-n is kept as the integer pair
+Integer inputs keep the expensive questions cheap: one Faddeev-LeVerrier
+pass in ``int`` arithmetic gives the characteristic polynomial, the
+determinant and the adjugate exactly, matrix powers are exact integer
+products, and the inverse power M^-n is kept as the integer pair
 (adj(M)^n, det(M)^n) and rounded once per entry where a float is needed.
 The characteristic polynomial is split into squarefree factors over the
 integers, so every eigenvalue carries its exact multiplicity and no
@@ -142,46 +143,41 @@ class DilationCheck:
 # exact operations
 # ---------------------------------------------------------------------------
 
+def _faddeev_leverrier(matrix: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
+    """The monic characteristic polynomial, highest degree first, and the
+    adjugate, from one Faddeev-LeVerrier recursion carried out in integers:
+    M_k = M (M_{k-1} + c_{k-1} I) from M_0 = 0 and c_0 = 1, and c_k =
+    -trace(M_k) / k, a division that is exact for an integer matrix and is
+    checked.  By Cayley-Hamilton M (M_{d-1} + c_{d-1} I) = -c_d I, so
+    adj(M) = (-1)^(d-1) (M_{d-1} + c_{d-1} I) and det(M) = (-1)^d c_d."""
+    d = matrix.dim
+    coeffs = [1]
+    mk = [[0] * d for _ in range(d)]
+    for k in range(1, d + 1):
+        for i in range(d):
+            mk[i][i] += coeffs[-1]
+        shifted = mk  # M_{k-1} + c_{k-1} I
+        mk = [[sum(x * y for x, y in zip(row, col)) for col in zip(*mk)] for row in matrix.rows]
+        c, rem = divmod(-sum(mk[i][i] for i in range(d)), k)
+        if rem:
+            raise ArithmeticError("characteristic polynomial must be integral")
+        coeffs.append(c)
+    return tuple(coeffs), IntMatrix(tuple(tuple(x if d % 2 else -x for x in r) for r in shifted))
+
+
+def characteristic_polynomial(matrix: IntMatrix) -> tuple[int, ...]:
+    """Exact monic characteristic polynomial, highest degree first."""
+    return _faddeev_leverrier(matrix)[0]
+
+
 def determinant(matrix: IntMatrix) -> int:
-    """Exact integer determinant via Bareiss fraction-free elimination."""
-    a = [list(row) for row in matrix.rows]
-    n = matrix.dim
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant (-1)^d c_d, from the Faddeev-LeVerrier pass."""
+    return (-1) ** matrix.dim * _faddeev_leverrier(matrix)[0][-1]
 
 
 def adjugate(matrix: IntMatrix) -> IntMatrix:
-    """Exact adjugate adj(M) = det(M) M^-1, from cofactors; it exists for
-    singular matrices too."""
-    n = matrix.dim
-    if n == 1:
-        return IntMatrix(((1,),))
-
-    def minor(i: int, j: int) -> IntMatrix:
-        return IntMatrix(tuple(
-            tuple(x for c, x in enumerate(row) if c != j)
-            for r, row in enumerate(matrix.rows) if r != i
-        ))
-
-    # adj(M)[i][j] is the (j, i) cofactor
-    return IntMatrix(tuple(
-        tuple((-1) ** (i + j) * determinant(minor(j, i)) for j in range(n))
-        for i in range(n)
-    ))
+    """Exact adjugate det(M) M^-1 from the same pass; singular M too."""
+    return _faddeev_leverrier(matrix)[1]
 
 
 def integer_power(matrix: IntMatrix, n: int) -> IntMatrix:
@@ -230,25 +226,6 @@ def operator_norm(matrix: IntMatrix, denominator: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # characteristic polynomial and eigenvalues
 # ---------------------------------------------------------------------------
-
-def characteristic_polynomial(matrix: IntMatrix) -> tuple[int, ...]:
-    """Exact monic characteristic polynomial, highest degree first, via the
-    Faddeev-LeVerrier recursion carried out in integers: M_k = M (M_{k-1} +
-    c_{k-1} I) from M_0 = 0 and c_0 = 1, and c_k = -trace(M_k) / k, a
-    division that is exact for an integer matrix and is checked."""
-    d = matrix.dim
-    coeffs = [1]
-    mk = [[0] * d for _ in range(d)]
-    for k in range(1, d + 1):
-        for i in range(d):
-            mk[i][i] += coeffs[-1]
-        mk = [[sum(x * y for x, y in zip(row, col)) for col in zip(*mk)] for row in matrix.rows]
-        c, rem = divmod(-sum(mk[i][i] for i in range(d)), k)
-        if rem:
-            raise ArithmeticError("characteristic polynomial must be integral")
-        coeffs.append(c)
-    return tuple(coeffs)
-
 
 # Polynomials over Z are coefficient lists, highest degree first, with no
 # leading zeros; the zero polynomial is [0].
@@ -396,7 +373,12 @@ def _roots_of_squarefree(coeffs: list[int]) -> list[complex]:
 
 
 def eigenvalues(matrix: IntMatrix) -> Spectrum:
-    """All complex roots of the exact characteristic polynomial.
+    """All complex roots of the exact characteristic polynomial."""
+    return _spectrum(characteristic_polynomial(matrix))
+
+
+def _spectrum(coeffs: Sequence[int]) -> Spectrum:
+    """All complex roots of a monic integer polynomial.
 
     The polynomial is split into squarefree factors first (exact integer
     gcds), so multiple eigenvalues are found with their exact
@@ -404,10 +386,9 @@ def eigenvalues(matrix: IntMatrix) -> Spectrum:
     accuracy collapse of clustered roots.  Raises
     NonFiniteArithmetic when the polynomial or its roots overflow a float.
     """
-    coeffs = list(characteristic_polynomial(matrix))
     values: list[complex] = []
     try:
-        for factor, multiplicity in _squarefree_factors(coeffs):
+        for factor, multiplicity in _squarefree_factors(list(coeffs)):
             for root in _roots_of_squarefree(factor):
                 values.extend([root] * multiplicity)
     except OverflowError as exc:
@@ -598,9 +579,14 @@ class DilationMatrix:
     def dim(self) -> int:
         return self.matrix.dim
 
+    # one Faddeev-LeVerrier pass serves determinant, adjugate and spectrum
+    @cached_property
+    def _invariants(self) -> tuple[tuple[int, ...], IntMatrix]:
+        return _faddeev_leverrier(self.matrix)
+
     @cached_property
     def determinant(self) -> int:
-        return determinant(self.matrix)
+        return (-1) ** self.dim * self._invariants[0][-1]
 
     @cached_property
     def m(self) -> int:
@@ -613,7 +599,7 @@ class DilationMatrix:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        return eigenvalues(self.matrix)
+        return _spectrum(self._invariants[0])
 
     @cached_property
     def norm(self) -> float:
@@ -625,7 +611,7 @@ class DilationMatrix:
 
     @cached_property
     def adjugate(self) -> IntMatrix:
-        return adjugate(self.matrix)
+        return self._invariants[1]
 
     # The dilation test and the Jordan form both read the one cached
     # spectrum.  A complex spectrum is not cached as an error, but it raises

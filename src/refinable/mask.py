@@ -71,7 +71,10 @@ class Mask:
             total = sum(self.rational.values())
             deviation = abs(total - 1)
         else:
-            deviation = abs(math.fsum(self.coefficients.values()) - 1.0)
+            try:
+                deviation = abs(math.fsum(self.coefficients.values()) - 1.0)
+            except OverflowError as exc:
+                raise MaskSumViolation(f"coefficient sum leaves float range ({exc})") from exc
         if deviation > MASK_SUM_TOL:
             raise MaskSumViolation(
                 f"mask coefficients must sum to 1 (off by {float(deviation):.3g})"

@@ -12,6 +12,10 @@ point of the bound's box at every level, with 0.0 where the kernel produced
 nothing.  The library stores only the reachable rows and the images M k, so
 its rows are a subset of the oracle's, with the same bits.
 
+For the determinant and the adjugate: Bareiss fraction-free elimination
+and the cofactor expansion, with one Bareiss determinant per minor.  The
+library reads both off its Faddeev-LeVerrier recursion instead.
+
 For the spectrum: the Faddeev-LeVerrier recursion, Yun's squarefree split
 and the root finder carried out in ``Fraction`` arithmetic, with each factor
 made monic.  The library runs the same algorithms on integer polynomials, so
@@ -172,6 +176,46 @@ def reference_refine(problem, level0, levels):
         indices = np.asarray(targets, dtype=np.int64)
         values = np.asarray([level_values[p] for p in targets])
     return table
+
+
+def determinant(matrix: IntMatrix) -> int:
+    """Exact integer determinant via Bareiss fraction-free elimination."""
+    a = [list(row) for row in matrix.rows]
+    n = matrix.dim
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def adjugate(matrix: IntMatrix) -> IntMatrix:
+    """Exact adjugate from cofactors: adj(M)[i][j] is the (j, i) cofactor."""
+    n = matrix.dim
+    if n == 1:
+        return IntMatrix(((1,),))
+
+    def minor(i: int, j: int) -> IntMatrix:
+        return IntMatrix(tuple(
+            tuple(x for c, x in enumerate(row) if c != j)
+            for r, row in enumerate(matrix.rows) if r != i
+        ))
+
+    return IntMatrix(tuple(
+        tuple((-1) ** (i + j) * determinant(minor(j, i)) for j in range(n))
+        for i in range(n)
+    ))
 
 
 def characteristic_polynomial(matrix: IntMatrix) -> tuple[int, ...]:

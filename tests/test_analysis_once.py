@@ -48,8 +48,9 @@ def counted(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    count(linalg, "eigenvalues")
-    count(linalg, "characteristic_polynomial")
+    # the Faddeev-LeVerrier pass and the root stage behind the spectrum
+    count(linalg, "_faddeev_leverrier")
+    count(linalg, "_spectrum")
     count(bounds, "ball_bound")
     count(pointwise, "build_transfer_matrix")
     count(pointwise, "lattice_points_in_bound")
@@ -73,8 +74,8 @@ def test_one_spectrum_per_matrix_across_subcommands(name, counted, monkeypatch, 
             argv += ["--outdir", str(tmp_path)]
         code, _, err = run_main(argv)
         assert code in (0, 3), err
-    assert counted["eigenvalues"] == 1
-    assert counted["characteristic_polynomial"] == 1
+    assert counted["_faddeev_leverrier"] == 1
+    assert counted["_spectrum"] == 1
     # values, check and refine share one transfer matrix
     assert counted["build_transfer_matrix"] == 1
 
@@ -88,8 +89,8 @@ def test_each_cli_call_analyses_once(args, counted, tmp_path):
         argv += ["--outdir", str(tmp_path)]
     code, _, err = run_main(argv)
     assert code == 0, err
-    assert counted["eigenvalues"] == 1
-    assert counted["characteristic_polynomial"] == 1
+    assert counted["_faddeev_leverrier"] == 1
+    assert counted["_spectrum"] == 1
     assert counted.get("build_transfer_matrix", 0) <= 1
 
 
@@ -107,6 +108,14 @@ def test_refine_left_closed_sets_up_once(counted, tmp_path):
     assert counted["lattice_points_in_bound"] == 1
 
 
+def test_determinant_adjugate_and_spectrum_share_one_pass(counted):
+    for rows in ([[2]], [[1, 1], [-1, 1]], [[0, 1], [3, 1]], [[0, 0, 2], [1, 0, 0], [0, 1, 0]]):
+        counted.clear()
+        matrix = linalg.DilationMatrix.from_rows(rows)
+        matrix.determinant, matrix.adjugate, matrix.spectrum
+        assert counted == {"_faddeev_leverrier": 1, "_spectrum": 1}
+
+
 def test_repeated_calls_return_the_same_object():
     for text in documents().values():
         problem = parse_problem(text)
@@ -119,12 +128,12 @@ def test_repeated_calls_return_the_same_object():
 
 def test_complex_spectrum_raises_from_the_cached_spectrum(counted):
     problem = parse_problem(COMPLEX_DOC)
-    assert counted["eigenvalues"] == 1
+    assert counted["_spectrum"] == 1
     for _ in range(3):
         with pytest.raises(linalg.ComplexSpectrum):
             problem.matrix.jordan_structure
     bounds.applicable_bounds(problem)
-    assert counted["eigenvalues"] == 1
+    assert counted["_spectrum"] == 1
 
 
 def test_shared_arrays_are_read_only():

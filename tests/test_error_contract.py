@@ -264,3 +264,43 @@ def test_float_overflow_ends_in_one_error_line_without_warnings(case, template, 
     else:
         assert code == 3
         assert err.startswith(f"error: {expected}: ") and err.count("\n") == 1, err
+
+
+# Float coefficients summing to one whose partial sums leave float range:
+# the sum cannot be checked in floats, so the mask is refused when parsed.
+SUM_BEYOND_FLOAT_RANGE = {
+    "dimension": 1, "matrix": [[2]],
+    "coefficients": [{"q": [0], "c": 1e308}, {"q": [1], "c": 1e308}, {"q": [2], "c": -1e308},
+                     {"q": [3], "c": -1e308}, {"q": [4], "c": 1}],
+}
+
+
+@pytest.mark.parametrize("template", SIX_COMMANDS, ids=lambda t: t[0])
+def test_mask_sum_beyond_float_range_is_refused(template, tmp_path):
+    doc = tmp_path / "problem.json"
+    doc.write_text(json.dumps(SUM_BEYOND_FLOAT_RANGE))
+    argv = [template[0], str(doc)] + [a.replace("{out}", str(tmp_path / "out")) for a in template[1:]]
+    code, out, err = run_main(argv)
+    assert code == 2
+    assert ERROR_LINE.findall(err) == ["error: MaskSumViolation: "]
+    assert err.count("\n") == 1 and out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("outdir", ["{file}", "{file}/sub"])
+@pytest.mark.parametrize(
+    "template",
+    [["cascade", "haar.json", "--iters", "2"],
+     ["refine", "skew3.json", "--left-closed", "--levels", "1"]],
+    ids=lambda t: t[0],
+)
+def test_unusable_outdir_is_a_parse_error(template, outdir, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    problem = Path(__file__).resolve().parent.parent / "demos" / "problems" / template[1]
+    argv = [template[0], str(problem), *template[2:], "--outdir", outdir.format(file=blocker)]
+    code, _, err = run_main(argv)
+    assert code == 2
+    assert ERROR_LINE.findall(err) == ["error: ParseError: "]
+    assert err.count("\n") == 1, err
+    assert blocker.read_text() == ""
