@@ -416,14 +416,16 @@ def _chunk_text(level: str, columns: list[np.ndarray]) -> str:
 
     The cells are laid out row by row in one list, a column at a time by
     slice assignment, and joined once with tabs; each value cell carries the
-    newline and the level that open the next row, and the chunk drops the
-    last one's level."""
+    newline and the level that open the next row; the first cell carries the
+    first row's level and the last cell drops its own."""
     width = len(columns)
     cells = [""] * (len(columns[0]) * width)
     for j, column in enumerate(columns[:-1]):
         cells[j::width] = _formatted(column)
     cells[width - 1 :: width] = _formatted(columns[-1], f"\n{level}")
-    return f"{level}\t" + "\t".join(cells)[: -len(level)]
+    cells[0] = f"{level}\t{cells[0]}"
+    cells[-1] = cells[-1][: -len(level)]
+    return "\t".join(cells)
 
 
 def write_rows(

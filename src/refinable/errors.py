@@ -89,6 +89,12 @@ class NoUnitEigenvalue(RefinableError):
     """The transfer matrix has no eigenvalue within tolerance of one."""
 
 
+class NoLeftClosedLimit(RefinableError):
+    """The left-closed tie-break has no limit: the transfer matrix has an
+    eigenvalue beyond the unit circle, or its eigenvalue 1 is not
+    semisimple."""
+
+
 class NormalizationImpossible(RefinableError):
     """The unit eigenvector has (near) zero entry sum and cannot be scaled
     to a partition of unity."""

@@ -34,16 +34,17 @@ from .errors import (
     EnumerationTooLarge,
     IndexOverflow,
     NoBoundAvailable,
+    NoLeftClosedLimit,
     NonFiniteArithmetic,
     NonUniqueWarning,
     NormalizationImpossible,
     NoUnitEigenvalue,
 )
+from .linalg import CONDITION_LIMIT
 from .mask import _ENUMERATION_CAP, Problem, per_problem
 
 UNIT_EIGENVALUE_TOL = 1e-9
 STRUCTURAL_ZERO_TOL = 1e-10
-TRANSFER_ITERATIONS = 200
 # the most candidate points a dense N x N transfer matrix may have (34 MB)
 _TRANSFER_CAP = 2048
 _ESCAPE_RTOL = 1e-9
@@ -207,13 +208,15 @@ def transfer_matrix(problem: Problem) -> TransferMatrix:
 
 @dataclass(frozen=True)
 class IntegerValues:
-    """Eigenvalue-1 eigenspace of the transfer matrix.
+    """Eigenvalue-1 eigenspace of the transfer matrix B.
 
     With a one-dimensional eigenspace the single basis vector is scaled so
     its entries sum to one, ``values`` is that level-0 function on
     ``points`` and ``structural_zeros`` are the rows where it is within
     ``STRUCTURAL_ZERO_TOL`` of zero; otherwise the orthonormal basis is
     returned as-is and callers must resolve the ambiguity themselves.
+    ``left_basis`` holds orthonormal rows spanning the left null space of
+    B - I, and ``spectral_radius`` is the largest eigenvalue modulus of B.
     """
 
     points: np.ndarray
@@ -221,6 +224,8 @@ class IntegerValues:
     eigenspace_dimension: int
     normalized: bool
     structural_zeros: np.ndarray
+    left_basis: np.ndarray
+    spectral_radius: float
 
     @cached_property
     def values(self) -> SampledFunction:
@@ -235,10 +240,11 @@ def integer_values(transfer: TransferMatrix) -> IntegerValues:
     """Solve B r = r.
 
     Raises NoUnitEigenvalue when no eigenvalue lies within
-    ``UNIT_EIGENVALUE_TOL`` of one.  The eigenspace basis comes from an SVD
-    null-space computation, so repeated unit eigenvalues yield a full
-    geometric basis; a basis of dimension above one is reported with a
-    NonUniqueWarning instead of being silently resolved.
+    ``UNIT_EIGENVALUE_TOL`` of one, or B - I has no null vector within it.
+    The eigenspace basis comes from an SVD null-space computation, so
+    repeated unit eigenvalues yield a full geometric basis; a basis of
+    dimension above one is reported with a NonUniqueWarning instead of being
+    silently resolved.
     """
     b = transfer.matrix
     n = transfer.size
@@ -249,35 +255,37 @@ def integer_values(transfer: TransferMatrix) -> IntegerValues:
             raise NoUnitEigenvalue(
                 f"no eigenvalue within {UNIT_EIGENVALUE_TOL:g} of 1 (nearest: {nearest:.6g})"
             )
-        _, sing, vt = np.linalg.svd(b - np.eye(n))
+        u, sing, vt = np.linalg.svd(b - np.eye(n))
     except np.linalg.LinAlgError as exc:
         raise NonFiniteArithmetic(f"transfer eigensolve failed: {exc}") from exc
     null_tol = UNIT_EIGENVALUE_TOL * max(1.0, float(sing[0]))
     dimension = int(np.sum(sing <= null_tol))
     if dimension == 0:
-        dimension = 1
+        raise NoUnitEigenvalue(
+            f"B - I has no null vector: smallest singular value {sing[-1]:.6g} > {null_tol:.6g}"
+        )
     basis = vt[n - dimension :][::-1].copy()
     for row in basis:
         k = int(np.argmax(np.abs(row)))
         if row[k] < 0:
             row *= -1.0
+    zeros = transfer.points[:0]
     if dimension == 1:
         vec = basis[0]
         total = float(vec.sum())
         if abs(total) <= 1e-12 * float(np.abs(vec).max()):
-            raise NormalizationImpossible(
-                "unit eigenvector has entry sum within 1e-12 of zero"
-            )
-        vec = vec / total
+            raise NormalizationImpossible("unit eigenvector has entry sum within 1e-12 of zero")
+        vec /= total
         zeros = np.compress(np.abs(vec) <= STRUCTURAL_ZERO_TOL, transfer.points, axis=0)
-        return IntegerValues(transfer.points, vec[None, :], 1, True, zeros)
-    warnings.warn(
-        f"eigenvalue-1 eigenspace has dimension {dimension}; integer values "
-        f"are not unique",
-        NonUniqueWarning,
-        stacklevel=2,
-    )
-    return IntegerValues(transfer.points, basis, dimension, False, transfer.points[:0])
+    else:
+        warnings.warn(
+            f"eigenvalue-1 eigenspace has dimension {dimension}; integer values "
+            f"are not unique",
+            NonUniqueWarning,
+            stacklevel=2,
+        )
+    left, radius = u[:, n - dimension :].T.copy(), float(np.abs(eigs).max())
+    return IntegerValues(transfer.points, basis, dimension, dimension == 1, zeros, left, radius)
 
 
 def _on_candidates(points: np.ndarray, seed: SampledFunction) -> np.ndarray:
@@ -301,28 +309,39 @@ def _on_candidates(points: np.ndarray, seed: SampledFunction) -> np.ndarray:
     return values
 
 
-def converged_integer_values(problem: Problem) -> SampledFunction:
-    """The level-0 function obtained by iterating the transfer matrix on
-    the integer samples of the box indicator (a unit spike at the origin).
+def _left_closed_limit(problem: Problem, result: IntegerValues) -> SampledFunction:
+    """The Cesaro limit of B^n e_0, e_0 the box indicator's integer samples,
+    normalized to sum one: the projection R^T (L R^T)^-1 L e_0 of e_0 onto
+    ker(B - I) along range(B - I), R and L the right and left null rows.
+    Refused where no limit exists: B has an eigenvalue beyond the unit
+    circle, or eigenvalue 1 is not semisimple (L R^T is singular)."""
+    if result.spectral_radius > 1.0 + UNIT_EIGENVALUE_TOL:
+        raise NoLeftClosedLimit(
+            f"transfer spectral radius {result.spectral_radius:.6g} exceeds 1; "
+            f"the box-indicator iteration diverges"
+        )
+    right, left = result.basis, result.left_basis
+    gram = left @ right.T
+    condition = float(np.linalg.cond(gram))
+    if not condition <= CONDITION_LIMIT:
+        raise NoLeftClosedLimit(
+            f"eigenvalue 1 is not semisimple: cond(L R^T) = {condition:.3g} "
+            f"exceeds {CONDITION_LIMIT:g}"
+        )
+    spike = _on_candidates(result.points, initial_samples(problem))
+    projected = right.T @ np.linalg.solve(gram, left @ spike)
+    total = projected.sum()
+    if abs(total) <= 1e-12:
+        raise NormalizationImpossible("left-closed selection has zero sum")
+    return SampledFunction(0, result.points, projected / total)
 
-    This is the cascade iteration restricted to the integer lattice; when
-    the eigenvalue-1 eigenspace is not unique it selects the limit that a
-    half-open box indicator produces, which is the usual tie-break.
-    """
-    points = candidate_points(problem)
-    transfer = transfer_matrix(problem)
-    vec = _on_candidates(points, initial_samples(problem))
-    acc = np.zeros_like(vec)
-    tail = TRANSFER_ITERATIONS // 4
-    for i in range(TRANSFER_ITERATIONS):
-        vec = transfer.matrix @ vec
-        if i >= TRANSFER_ITERATIONS - tail:
-            acc += vec
-    # averaging the tail tolerates slowly rotating transient components
-    vec = acc / tail
-    if not np.all(np.isfinite(vec)):
-        raise NonFiniteArithmetic("the transfer iteration overflowed")
-    return SampledFunction(0, points, vec)
+
+def converged_integer_values(problem: Problem) -> SampledFunction:
+    """The limit of the transfer iteration on the box indicator's integer
+    samples, the cascade restricted to the integer lattice (see
+    :func:`_left_closed_limit`).  It resolves a non-unique eigenspace toward
+    the half-open box indicator's limit, without a NonUniqueWarning."""
+    return _left_closed_limit(problem, resolve_values(problem, False)[0])
 
 
 def resolve_values(
@@ -334,8 +353,7 @@ def resolve_values(
     the eigenspace is not one-dimensional and no tie-break was asked for.
 
     With ``left_closed`` a larger eigenspace is resolved toward the limit of
-    :func:`converged_integer_values`: that iterate is projected onto the
-    eigenspace and normalized to sum one.
+    :func:`converged_integer_values`, read off the same eigensolve.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -343,16 +361,7 @@ def resolve_values(
     notes = [str(w.message) for w in caught if issubclass(w.category, NonUniqueWarning)]
     if result.normalized or not left_closed:
         return result, notes, result.values if result.normalized else None
-    vec = converged_integer_values(problem).values
-    basis = result.basis
-    coords, *_ = np.linalg.lstsq(basis.T, vec, rcond=None)
-    projected = basis.T @ coords
-    total = projected.sum()
-    if abs(total) <= 1e-12:
-        raise NormalizationImpossible("left-closed selection has zero sum")
-    projected = projected / total
-    notes.append("left-closed tie-break applied")
-    return result, notes, SampledFunction(0, result.points, projected)
+    return result, notes + ["left-closed tie-break applied"], _left_closed_limit(problem, result)
 
 
 # ---------------------------------------------------------------------------

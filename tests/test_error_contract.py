@@ -304,3 +304,46 @@ def test_unusable_outdir_is_a_parse_error(template, outdir, tmp_path):
     assert ERROR_LINE.findall(err) == ["error: ParseError: "]
     assert err.count("\n") == 1, err
     assert blocker.read_text() == ""
+
+
+BUNDLED = Path(__file__).resolve().parent.parent / "demos" / "problems"
+AMBIGUOUS = (
+    "error: NoUnitEigenvalue-ambiguity: transfer eigenspace is not one-dimensional; "
+    "rerun with --left-closed\n"
+)
+
+
+def fingerprint_commands(problem: str, outdir: str) -> list[list[str]]:
+    """The command matrix of ``bench/fingerprint.py``: 17 calls per problem."""
+    cmds = []
+    for fmt in ("table", "delimited", "structured"):
+        cmds.append(["analyze", problem, "--format", fmt])
+        cmds.append(["bound", problem, "--format", fmt])
+        cmds.append(["values", problem, "--format", fmt])
+        cmds.append(["values", problem, "--left-closed", "--format", fmt])
+    for initial in ("box", "hat"):
+        cmds.append(["cascade", problem, "--iters", "6", "--initial", initial, "--outdir", outdir])
+    cmds.append(["refine", problem, "--levels", "4", "--outdir", outdir])
+    cmds.append(["refine", problem, "--left-closed", "--levels", "4", "--outdir", outdir])
+    cmds.append(["check", problem])
+    return cmds
+
+
+@pytest.mark.parametrize("name", ["daubechies4", "haar", "quincunx", "shear2d", "skew3"])
+def test_bundled_command_matrix_keeps_the_error_contract(name, tmp_path):
+    """Every call passes with an empty stderr, except ``refine`` without a
+    tie-break on a non-unique eigenspace, which is refused before any dump."""
+    refused = []
+    for i, argv in enumerate(fingerprint_commands(str(BUNDLED / f"{name}.json"), "")):
+        outdir = tmp_path / str(i)
+        outdir.mkdir()
+        if "--outdir" in argv:
+            argv[-1] = str(outdir)
+        code, _, err = run_main(argv)
+        if argv[0] == "refine" and "--left-closed" not in argv and name != "daubechies4":
+            assert (code, err) == (3, AMBIGUOUS), argv
+            assert list(outdir.iterdir()) == []
+            refused.append(argv)
+        else:
+            assert (code, err) == (0, ""), (argv, err)
+    assert len(refused) == (0 if name == "daubechies4" else 1)
