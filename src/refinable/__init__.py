@@ -47,11 +47,6 @@ from .linalg import (
     IntMatrix,
     JordanStructure,
     Spectrum,
-    adjugate,
-    characteristic_polynomial,
-    determinant,
-    eigenvalues,
-    integer_power,
     operator_norm,
 )
 from .mask import (

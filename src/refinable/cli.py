@@ -65,8 +65,8 @@ def _fmt(x: float) -> str:
 
 def _load_problem(path: str) -> Problem:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_problem(text)
 
@@ -379,6 +379,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RefinableError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy raises a subclass; the line names the builtin
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 3
 
 

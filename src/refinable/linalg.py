@@ -1,8 +1,9 @@
 """Exact and floating-point analysis of small integer matrices.
 
-Integer inputs keep the expensive questions cheap: one Faddeev-LeVerrier
-pass in ``int`` arithmetic gives the characteristic polynomial, the
-determinant and the adjugate exactly, matrix powers are exact integer
+:class:`DilationMatrix` is the one way in to the exact invariants.  Integer
+inputs keep the expensive questions cheap: one Faddeev-LeVerrier pass in
+``int`` arithmetic per matrix gives its characteristic polynomial,
+determinant and adjugate exactly, matrix powers are memoized exact integer
 products, and the inverse power M^-n is kept as the integer pair
 (adj(M)^n, det(M)^n) and rounded once per entry where a float is needed.
 The characteristic polynomial is split into squarefree factors over the
@@ -163,32 +164,6 @@ def _faddeev_leverrier(matrix: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
             raise ArithmeticError("characteristic polynomial must be integral")
         coeffs.append(c)
     return tuple(coeffs), IntMatrix(tuple(tuple(x if d % 2 else -x for x in r) for r in shifted))
-
-
-def characteristic_polynomial(matrix: IntMatrix) -> tuple[int, ...]:
-    """Exact monic characteristic polynomial, highest degree first."""
-    return _faddeev_leverrier(matrix)[0]
-
-
-def determinant(matrix: IntMatrix) -> int:
-    """Exact determinant (-1)^d c_d, from the Faddeev-LeVerrier pass."""
-    return (-1) ** matrix.dim * _faddeev_leverrier(matrix)[0][-1]
-
-
-def adjugate(matrix: IntMatrix) -> IntMatrix:
-    """Exact adjugate det(M) M^-1 from the same pass; singular M too."""
-    return _faddeev_leverrier(matrix)[1]
-
-
-def integer_power(matrix: IntMatrix, n: int) -> IntMatrix:
-    """Exact n-th power (n >= 0) in integer arithmetic."""
-    if n < 0:
-        raise ValueError("use DilationMatrix.inverse_power for negative powers")
-    d = matrix.dim
-    result = IntMatrix(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
-    for _ in range(n):
-        result = _matmul(result, matrix)
-    return result
 
 
 def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -370,11 +345,6 @@ def _roots_of_squarefree(coeffs: list[int]) -> list[complex]:
                 z = complex(float(nearest))
         roots.append(z)
     return roots
-
-
-def eigenvalues(matrix: IntMatrix) -> Spectrum:
-    """All complex roots of the exact characteristic polynomial."""
-    return _spectrum(characteristic_polynomial(matrix))
 
 
 def _spectrum(coeffs: Sequence[int]) -> Spectrum:
@@ -579,14 +549,20 @@ class DilationMatrix:
     def dim(self) -> int:
         return self.matrix.dim
 
-    # one Faddeev-LeVerrier pass serves determinant, adjugate and spectrum
+    # one Faddeev-LeVerrier pass serves the characteristic polynomial, the
+    # determinant, the adjugate and the spectrum
     @cached_property
     def _invariants(self) -> tuple[tuple[int, ...], IntMatrix]:
         return _faddeev_leverrier(self.matrix)
 
     @cached_property
+    def characteristic_polynomial(self) -> tuple[int, ...]:
+        """Exact monic characteristic polynomial, highest degree first."""
+        return self._invariants[0]
+
+    @cached_property
     def determinant(self) -> int:
-        return (-1) ** self.dim * self._invariants[0][-1]
+        return (-1) ** self.dim * self.characteristic_polynomial[-1]
 
     @cached_property
     def m(self) -> int:
@@ -599,7 +575,7 @@ class DilationMatrix:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        return _spectrum(self._invariants[0])
+        return _spectrum(self.characteristic_polynomial)
 
     @cached_property
     def norm(self) -> float:
@@ -629,36 +605,35 @@ class DilationMatrix:
         return _real_jordan_structure(self.matrix, self.spectrum)
 
     # Powers are memoized per exponent: the cascade, the refinement, the
-    # enumeration and the writers all ask for the same few levels.
+    # enumeration and the writers all ask for the same few levels.  Each
+    # base ("matrix" or "adjugate") keeps its powers from the identity up.
     @cached_property
-    def _powers(self) -> list[IntMatrix]:
-        return [integer_power(self.matrix, 0)]
-
-    @cached_property
-    def _adjugate_powers(self) -> list[IntMatrix]:
-        return [integer_power(self.matrix, 0)]
+    def _powers(self) -> dict[str, list[IntMatrix]]:
+        d = self.dim
+        identity = IntMatrix(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
+        return {"matrix": [identity], "adjugate": [identity]}
 
     @cached_property
     def _inverse_arrays(self) -> dict[int, np.ndarray]:
         return {}
 
-    def power(self, n: int) -> IntMatrix:
-        """Exact M^n (n >= 0); each exponent not seen before costs one
-        integer product with M."""
+    def _memoized_power(self, base: str, n: int) -> IntMatrix:
+        """Exact base^n (n >= 0); each exponent not seen before costs one
+        integer product with the base."""
         if n < 0:
             raise ValueError("use DilationMatrix.inverse_power for negative powers")
-        powers = self._powers
+        powers = self._powers[base]
         while len(powers) <= n:
-            powers.append(_matmul(powers[-1], self.matrix))
+            powers.append(_matmul(powers[-1], getattr(self, base)))
         return powers[n]
 
+    def power(self, n: int) -> IntMatrix:
+        """Exact M^n (n >= 0)."""
+        return self._memoized_power("matrix", n)
+
     def adjugate_power(self, n: int) -> IntMatrix:
-        """Exact adj(M)^n (n >= 0); each exponent not seen before costs one
-        integer product with adj(M)."""
-        powers = self._adjugate_powers
-        while len(powers) <= n:
-            powers.append(_matmul(powers[-1], self.adjugate))
-        return powers[n]
+        """Exact adj(M)^n (n >= 0)."""
+        return self._memoized_power("adjugate", n)
 
     def inverse_power(self, n: int) -> tuple[IntMatrix, int]:
         """Exact M^-n (n >= 1) as the integer pair (adj(M)^n, det(M)^n):

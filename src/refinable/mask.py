@@ -173,7 +173,10 @@ def _parse_coefficient(value) -> tuple[float, Fraction | None]:
             raise ParseError(
                 f"coefficient string {value!r} is not of the form 'p/q'"
             )
-        return _exact_coefficient(Fraction(value))
+        try:
+            return _exact_coefficient(Fraction(value))
+        except ValueError as exc:  # past the int-conversion digit limit
+            raise ParseError(f"coefficient string: {exc}") from exc
     if isinstance(value, bool):
         raise ParseError(f"coefficient must be a number or 'p/q' string, got {value!r}")
     if isinstance(value, int):
@@ -253,6 +256,10 @@ def parse_problem(source: str) -> Problem:
         data = json.loads(source)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past the int-conversion digit limit, or nesting past
+        # the recursion limit
+        raise ParseError(f"unreadable JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("document root must be an object")
     unknown = set(data) - {"dimension", "matrix", "coefficients"}

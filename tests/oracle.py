@@ -1,9 +1,10 @@
 """Independent oracles the tests compare the library against, bit for bit.
 
-For inverse powers: a ``Fraction`` Gauss-Jordan inverse and rational matrix
-products, with every float derived from them by one rounding per entry.  The
-library keeps M^-n as the integer pair (adj(M)^n, det(M)^n); these helpers
-reach the same numbers by a different road.
+For powers and inverse powers: a ``Fraction`` Gauss-Jordan inverse and
+rational matrix products, with every float derived from them by one
+rounding per entry.  The library memoizes M^n and keeps M^-n as the integer
+pair (adj(M)^n, det(M)^n); these helpers reach the same numbers by a
+different road.
 
 For sample dumps: the per-row layout the column-wise writer must reproduce.
 
@@ -73,6 +74,17 @@ def fraction_inverse(matrix):
 def fraction_matmul(x, y):
     cols = list(zip(*y))
     return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
+
+
+def fraction_power(matrix, n):
+    """Exact M^n (n >= 0) as rows of Fractions: n products from the
+    identity."""
+    d = matrix.dim
+    rows = [[Fraction(x) for x in row] for row in matrix.rows]
+    result = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for _ in range(n):
+        result = fraction_matmul(result, rows)
+    return result
 
 
 def fraction_inverse_power(matrix, n):

@@ -1,5 +1,6 @@
 """Tests for the support-bound formulas and their consistency."""
 
+import json
 import math
 
 import numpy as np
@@ -20,9 +21,11 @@ from refinable import (
     jordan_block_bound,
     jordan_recurrence_table,
     parallelepiped_bound,
+    cli,
     problem_from_data,
 )
 from refinable.errors import (
+    IllConditionedTransform,
     NormNotContractive,
     NotDiagonal,
     NotDilation1D,
@@ -290,3 +293,27 @@ class TestBestBound:
         assert "iterated-norm-ball" in bound.provenance
         # M^2 = -3 I, so k = 2 and the radius is (1 + 1/3) / (2/3) = 2
         assert bound.radius == pytest.approx(2.0, abs=1e-12)
+
+    def test_ill_conditioned_transform_falls_back_to_iterated(self, tmp_path, capsys):
+        # eigenvalue 2 with a single Jordan block scaled by 1e9: the
+        # transform's condition number passes CONDITION_LIMIT, so neither the
+        # selection nor the report has a Jordan parallelepiped
+        doc = {
+            "dimension": 2,
+            "matrix": [[2, 10**9], [0, 2]],
+            "coefficients": [{"q": [0, 0], "c": "1/2"}, {"q": [1, 0], "c": "1/2"}],
+        }
+        problem = make_problem(doc["dimension"], doc["matrix"], doc["coefficients"])
+        with pytest.raises(IllConditionedTransform, match="condition number"):
+            problem.matrix.jordan_structure
+        with pytest.raises(IllConditionedTransform):
+            parallelepiped_bound(problem)
+        selected = "iterated-norm-ball (k=34)"
+        assert best_bound(problem).provenance == selected
+        assert [b.provenance for b in applicable_bounds(problem)] == [selected]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["bound", str(path), "--format", "structured"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["selected"] == selected
+        assert [b["provenance"] for b in report["bounds"]] == [selected]

@@ -330,6 +330,22 @@ class TestErrorPaths:
         assert "refinement level 4 would scatter 17830400 rows" in result.stderr
         assert not list(tmp_path.glob("dumps/*.tsv"))
 
+    def test_allocation_failure_is_one_error_line(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        # shear2d's level 12 scatters exactly the 2^24 rows the cap allows,
+        # which 512 MiB of address space cannot hold
+        problem = Path(__file__).resolve().parent.parent / "demos" / "problems" / "shear2d.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "refinable", "cascade", str(problem), "--iters", "12",
+             "--outdir", str(tmp_path / "dumps")],
+            capture_output=True,
+            text=True,
+            env={**ENV, "OPENBLAS_NUM_THREADS": "1"},
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)),
+        )
+        assert_one_error_line(result, "MemoryError")
+
 
 class TestNonFiniteArithmetic:
     """m c_q overflows to inf for the mask {0: 1e308, 1: -1e308, 2: 1},

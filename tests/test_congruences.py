@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from refinable import problem_from_data
 from refinable.cascade import SampledFunction
 from refinable.errors import IndexOverflow
-from refinable.linalg import DilationMatrix, IntMatrix, adjugate, determinant
+from refinable.linalg import DilationMatrix, IntMatrix
 from refinable.mask import COSET_UNIFORM_TOL, _coset_representatives, coset_sum_report
 from refinable.pointwise import ValueTable, periodization_check
 
-from oracle import fraction_inverse, fraction_inverse_power
+from oracle import adjugate, determinant, fraction_inverse, fraction_inverse_power
 
 # ---------------------------------------------------------------------------
 # the Fraction algorithms, kept as the reference

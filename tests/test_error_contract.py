@@ -287,6 +287,36 @@ def test_mask_sum_beyond_float_range_is_refused(template, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# Documents Python cannot decode into a problem: bytes that are not UTF-8,
+# nesting past the recursion limit, and integers past the 4,300-digit
+# int-conversion limit, as a JSON number and as a "p/q" string.
+UNREADABLE = {
+    "not-utf8": b'{"dimension": 1, "matrix": [[2]], "coefficients": [{"q": [0], "c": "\xff"}]}',
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    "long-number": (
+        b'{"dimension": 1, "matrix": [[2]], "coefficients": [{"q": [0], "c": '
+        + b"1" * 5000 + b"}]}"
+    ),
+    "long-rational": (
+        b'{"dimension": 1, "matrix": [[2]], "coefficients": [{"q": [0], "c": "'
+        + b"1" * 5000 + b'/2"}]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("template", SIX_COMMANDS, ids=lambda t: t[0])
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_undecodable_document_is_a_parse_error(case, template, tmp_path):
+    doc = tmp_path / "problem.json"
+    doc.write_bytes(UNREADABLE[case])
+    argv = [template[0], str(doc)] + [a.replace("{out}", str(tmp_path / "out")) for a in template[1:]]
+    code, out, err = run_main(argv)
+    assert code == 2
+    assert ERROR_LINE.findall(err) == ["error: ParseError: "]
+    assert err.count("\n") == 1 and out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("outdir", ["{file}", "{file}/sub"])
 @pytest.mark.parametrize(
     "template",

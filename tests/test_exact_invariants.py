@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from refinable import IntMatrix, adjugate, characteristic_polynomial, determinant
-from refinable.linalg import DilationMatrix, _matmul
+from refinable import DilationMatrix, IntMatrix
+from refinable.linalg import _matmul
 
 ENTRIES = {"small": st.integers(-3, 3), "huge": st.integers(-(10**40), 10**40)}
 
@@ -40,10 +40,8 @@ def test_one_pass_matches_the_references(rows):
     matrix = IntMatrix.from_rows(rows)
     det = oracle.determinant(matrix)
     adj = oracle.adjugate(matrix)
-    assert determinant(matrix) == det
-    assert adjugate(matrix) == adj
-    assert characteristic_polynomial(matrix) == oracle.characteristic_polynomial(matrix)
     fresh = DilationMatrix(matrix)
+    assert fresh.characteristic_polynomial == oracle.characteristic_polynomial(matrix)
     assert fresh.determinant == det
     assert fresh.adjugate == adj
     # adj(M) M = det(M) I, singular matrices included

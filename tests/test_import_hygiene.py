@@ -2,7 +2,10 @@
 every third-party module the package imports is a declared dependency.
 
 ``__init__.py`` is skipped by the first check, since its imports are the
-package's re-exports, and so are ``from __future__`` imports.
+package's re-exports, and so are ``from __future__`` imports.  Each of those
+re-exports must in turn be read by a package module outside its own
+definition, by a demo, or be named in a code span of README.md; a name only
+the tests read needs an entry, with its reason, in the allow-list below.
 """
 
 import ast
@@ -17,6 +20,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "refinable"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# re-exported names that only the tests read -> why the package exports them
+TEST_ONLY_EXPORTS = {
+    "read_values": "reads back the value tables refine writes; the tests "
+                   "round-trip every dump through it",
+    "serialize_problem": "writes the canonical document parse_problem reads; "
+                         "the tests round-trip problems through it",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -93,3 +105,93 @@ def test_only_the_dump_writer_imports_orjson():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env=env, timeout=60)
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def reexports(source: str) -> list[str]:
+    """The names ``__init__.py`` binds by its relative imports."""
+    return [
+        alias.asname or alias.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def _module_aliases(tree: ast.AST) -> set[str]:
+    """Local names bound to package modules (``from . import bounds as b``,
+    ``from refinable import cascade``)."""
+    stems = {p.stem for p in MODULES}
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and ((node.level == 1 and node.module is None) or node.module == "refinable")
+        for alias in node.names
+        if alias.name in stems
+    }
+
+
+def names_read(source: str) -> set[str]:
+    """Names ``source`` reads: bare, as an attribute of a package module
+    (``bounds_mod.best_bound``), or as a module it imports from, except where
+    a top-level definition reads its own name.  ``x.determinant`` on any
+    other object reads a member, not the package's name."""
+    tree = ast.parse(source)
+    modules = _module_aliases(tree)
+    read = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.update(node.module.split("."))
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        read |= names
+    return read
+
+
+def names_in_code_spans(markdown: str) -> set[str]:
+    """Identifiers inside the fenced blocks (less their ``#`` comments) and
+    code spans of ``markdown`` that do not follow a dot:
+    ``DilationMatrix.power`` names ``DilationMatrix`` only."""
+    fence = re.compile(r"```.*?```", re.DOTALL)
+    blocks = [re.sub(r"#.*", "", block) for block in fence.findall(markdown)]
+    spans = blocks + re.findall(r"`([^`]+)`", fence.sub("", markdown))
+    return {word for span in spans for word in re.findall(r"(?<![\w.])[A-Za-z_]\w*", span)}
+
+
+def unread_reexports() -> list[str]:
+    read = set().union(*(names_read(p.read_text()) for p in MODULES + DEMOS))
+    read |= names_in_code_spans((ROOT / "README.md").read_text())
+    return [name for name in reexports((PACKAGE / "__init__.py").read_text()) if name not in read]
+
+
+def test_every_reexport_is_used_outside_the_tests():
+    assert sorted(set(unread_reexports()) - set(TEST_ONLY_EXPORTS)) == []
+
+
+def test_every_test_only_export_is_still_needed():
+    assert sorted(set(TEST_ONLY_EXPORTS) - set(unread_reexports())) == []
+
+
+def test_scans_on_a_planted_source():
+    source = (
+        "from .linalg import IntMatrix as M\n"
+        "class Box:\n"
+        "    def grow(self) -> Box:\n"
+        "        return Box()\n"
+        "def run(problem):\n"
+        "    from . import bounds as b\n"
+        "    from refinable.errors import ParseError\n"
+        "    return b.best_bound(problem).extents(M), problem.matrix.determinant\n"
+    )
+    assert reexports(source) == ["M"]
+    assert names_read(source) == {
+        "linalg", "refinable", "errors", "b", "best_bound", "problem", "M"}
+    markdown = "one `DilationMatrix.power(n)` call\n```\nrun_cascade(p)  # eigenvalues\n```\n"
+    assert names_in_code_spans(markdown) == {"DilationMatrix", "n", "run_cascade", "p"}

@@ -18,9 +18,9 @@ from refinable.cascade import (
     write_samples,
 )
 from refinable.errors import EnumerationTooLarge, IndexOverflow, RefinableError
-from refinable.linalg import DilationMatrix, integer_power
+from refinable.linalg import DilationMatrix
 
-from oracle import per_row_reference
+from oracle import fraction_power, per_row_reference
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 SKEW3 = PROBLEMS / "skew3.json"
@@ -461,9 +461,11 @@ def test_powers_are_memoized_and_read_only():
 def test_powers_requested_out_of_order_are_exact():
     matrix = DilationMatrix.from_rows([[1, -1, 2], [0, 2, 1], [3, 0, -2]])
     for n in (7, 3, 12, 0, 12, 5):
-        assert matrix.power(n) == integer_power(matrix.matrix, n)
+        assert [list(row) for row in matrix.power(n).rows] == fraction_power(matrix.matrix, n)
     with pytest.raises(ValueError):
         matrix.power(-1)
+    with pytest.raises(ValueError):
+        matrix.adjugate_power(-1)
 
 
 # ---------------------------------------------------------------------------
