@@ -294,6 +294,7 @@ def jordan_recurrence_table(
     return table
 
 
+@per_problem
 def parallelepiped_bound(problem: Problem) -> TransformedBox:
     """Transformed-parallelepiped bound C P for matrices with real spectrum.
 

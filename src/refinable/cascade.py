@@ -390,10 +390,13 @@ def _cells(column: np.ndarray, suffix: str) -> list[str]:
     followed by ``suffix``.
 
     orjson writes the whole column with the shortest round-trip digits, the
-    same digits as ``repr``, so only the cells whose notation can differ go
+    same digits as ``repr``, and the same notation for magnitudes below 1e-9
+    (zeros and subnormals included), whose exponents have two or three
+    digits, and in [1e-4, 1e16).  Only the cells whose notation differs go
     through ``repr``: non-finite values, which orjson writes as ``null``, and
-    nonzero magnitudes outside [1e-4, 1e16), where ``repr`` writes an
-    exponent such as ``1e+16`` or ``1e-05``.
+    magnitudes in [1e-9, 1e-4) or from 1e16 on, where ``repr`` writes
+    ``1e-05`` or ``1e+16`` and orjson ``0.00001`` or ``1e16``.  So the
+    roundoff where phi vanishes keeps orjson's text.
     """
     import orjson  # imported at the first dump, so other commands skip it
 
@@ -404,7 +407,7 @@ def _cells(column: np.ndarray, suffix: str) -> list[str]:
     cells = (text[1:-1] + suffix).split(",")
     if column.dtype.kind == "f":
         size = np.abs(column)
-        fixed = ((size >= 1e-4) & (size < 1e16)) | (column == 0)
+        fixed = ((size >= 1e-4) & (size < 1e16)) | (size < 1e-9)
         odd = np.flatnonzero(~fixed)
         for i, x in zip(odd.tolist(), column[odd].tolist()):
             cells[i] = repr(x) + suffix

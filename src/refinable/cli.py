@@ -71,11 +71,13 @@ def _load_problem(path: str) -> Problem:
     return parse_problem(text)
 
 
-def _open_dump(path: Path):
-    """Open a dump file for writing, creating its directory; a path that
+def _open_dump(path: Path, make_dir: bool):
+    """Open a dump file for writing, first creating its directory when
+    ``make_dir`` is set (once per call, for the first file); a path that
     cannot be used is refused like an unreadable problem path."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if make_dir:
+            path.parent.mkdir(parents=True, exist_ok=True)
         return open(path, "w")
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
@@ -211,9 +213,9 @@ def _cmd_cascade(args) -> int:
     iterates = cascade_mod.run_cascade(problem, kind, args.iters)
     outdir = Path(args.outdir)
     stem = Path(args.problem).stem
-    for sampled in iterates:
+    for i, sampled in enumerate(iterates):
         path = outdir / f"{stem}.level{sampled.level}.tsv"
-        with _open_dump(path) as handle:
+        with _open_dump(path, i == 0) as handle:
             cascade_mod.write_samples(problem, [sampled], handle)
         box = cascade_mod.empirical_support(problem, sampled, args.eps)
         mass = cascade_mod.discrete_mass(problem, sampled)
@@ -278,10 +280,10 @@ def _cmd_refine(args) -> int:
     table = pointwise_mod.refine_values(problem, values, args.levels)
     outdir = Path(args.outdir)
     stem = Path(args.problem).stem
-    for level, sampled in sorted(table.samples.items()):
+    for i, (level, sampled) in enumerate(sorted(table.samples.items())):
         single = pointwise_mod.ValueTable({level: sampled}, table.normalized)
         path = outdir / f"{stem}.level{level}.tsv"
-        with _open_dump(path) as handle:
+        with _open_dump(path, i == 0) as handle:
             pointwise_mod.export_values(problem, single, handle)
         print(f"level {level}: {len(sampled.values)} lattice points -> {path}")
     return 0

@@ -310,45 +310,53 @@ class CosetSums:
     uniform: bool
 
 
-# points of the representative box tested per array operation
-_SCAN_CHUNK = 1 << 16
+def _hermite_diagonal(rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    """|H_ii| for a lower-triangular H = M U with U unimodular, so that
+    H Z^d = M Z^d and the product of the entries is m.
+
+    Row by row, Euclid's algorithm on pairs of columns leaves the gcd of the
+    row's entries on and right of the diagonal on the diagonal, and zeros to
+    its right.
+    """
+    a = [list(row) for row in rows]
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            while a[i][j]:
+                q = a[i][i] // a[i][j]
+                for row in a:
+                    row[i], row[j] = row[j], row[i] - q * row[j]
+    return [abs(a[i][i]) for i in range(len(a))]
 
 
 def _coset_representatives(matrix: DilationMatrix) -> np.ndarray:
     """The integer points of M [0,1)^d, exactly m class representatives, as
     lexicographically sorted int64 rows.
 
-    p = M t lies in M [0,1)^d iff t = s adj(M) p / m lies in [0,1)^d, with
-    s the sign of det M; so the test is 0 <= s adj(M) p < m in integers.
+    Walking Z^d / M Z^d from the origin by unit steps, e_d reaches t_d
+    classes before it returns to the origin's, e_(d-1) then reaches t_(d-1)
+    cosets of those, and so on down to e_1, where t_i = |H_ii|
+    (:func:`_hermite_diagonal`): the box 0 <= r_i < t_i holds one point of
+    each of the m classes.  Each r moves into M [0,1)^d as
+    p = M frac(M^-1 r) = M u / m in integers, where u = s adj(M) r mod m,
+    with s the sign of det M, is r's residue key
+    (:meth:`DilationMatrix.residues`) up to that sign.
     """
-    d = matrix.dim
+    m = matrix.m
     rows = matrix.matrix.rows
-    lo = [sum(min(rows[i][j], 0) for j in range(d)) for i in range(d)]
-    hi = [sum(max(rows[i][j], 0) for j in range(d)) for i in range(d)]
-    shape = tuple(b - a + 1 for a, b in zip(lo, hi))
-    volume = math.prod(shape)
-    # |s adj(M) p| <= d * volume on the box, so int64 cannot wrap below this
-    if d * volume >= 2**63:
-        raise IndexOverflow("residue representative box does not fit in int64")
-    if volume > _ENUMERATION_CAP:
+    # |M u| < m times M's largest absolute row sum
+    if max(sum(map(abs, row)) for row in rows) * m >= 2**63:
+        raise IndexOverflow("residue representatives do not fit in int64")
+    if m > _ENUMERATION_CAP:
         raise EnumerationTooLarge(
-            f"residue representative box of {volume} points exceeds the cap "
-            f"of {_ENUMERATION_CAP}"
+            f"{m} residue classes exceed the cap of {_ENUMERATION_CAP}"
         )
     sign = 1 if matrix.determinant > 0 else -1
-    scaled = np.asarray(matrix.adjugate.rows, dtype=np.int64).T * sign
-    found = []
-    for start in range(0, volume, _SCAN_CHUNK):
-        flat = np.arange(start, min(start + _SCAN_CHUNK, volume), dtype=np.int64)
-        points = np.stack(np.unravel_index(flat, shape), axis=1) + np.asarray(lo)
-        images = points @ scaled
-        found.append(points[np.all((images >= 0) & (images < matrix.m), axis=1)])
-    reps = np.concatenate(found)
-    if len(reps) != matrix.m:
-        raise ArithmeticError(
-            f"found {len(reps)} residue representatives, expected {matrix.m}"
-        )
-    return reps
+    # with both factors below m <= the cap, the key's products fit in int64
+    adj = [[sign * x % m for x in row] for row in matrix.adjugate.rows]
+    box = np.indices(_hermite_diagonal(rows), dtype=np.int64).reshape(matrix.dim, -1).T
+    keys = box @ np.asarray(adj, dtype=np.int64).T % m
+    reps = keys @ np.asarray(rows, dtype=np.int64).T // m
+    return reps[np.lexsort(reps.T[::-1])]
 
 
 def coset_sum_report(problem: Problem) -> CosetSums:

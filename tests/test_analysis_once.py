@@ -1,6 +1,6 @@
 """Each per-problem artefact (spectrum, bound, candidate points, transfer
 matrix) is computed once per call, is shared read-only, and stays with the
-Problem instance it belongs to."""
+Problem instance it belongs to; a dumping call creates its directory once."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -52,6 +52,7 @@ def counted(monkeypatch):
     count(linalg, "_faddeev_leverrier")
     count(linalg, "_spectrum")
     count(bounds, "ball_bound")
+    count(bounds, "jordan_block_bound")
     count(pointwise, "build_transfer_matrix")
     count(pointwise, "lattice_points_in_bound")
     return counts
@@ -106,6 +107,52 @@ def test_refine_left_closed_sets_up_once(counted, tmp_path):
     # one level-0 enumeration for the candidates; the refinement levels store
     # the kernel's rows and their images and enumerate nothing
     assert counted["lattice_points_in_bound"] == 1
+
+
+def test_bound_builds_the_jordan_parallelepiped_once(counted, tmp_path):
+    # best_bound selects the parallelepiped and applicable_bounds lists it
+    doc = tmp_path / "skew3.json"
+    doc.write_text((PROBLEMS / "skew3.json").read_text())
+    code, out, err = run_main(["bound", str(doc)])
+    assert code == 0, err
+    assert "selected: jordan-parallelepiped" in out
+    blocks = parse_problem(doc.read_text()).matrix.jordan_structure.blocks
+    assert counted["jordan_block_bound"] == len(blocks)
+
+
+@pytest.mark.parametrize("command", [["cascade", "--iters", "4"], ["refine", "--levels", "4"]])
+def test_dump_directory_is_made_once_per_call(command, tmp_path, monkeypatch):
+    doc = tmp_path / "daubechies4.json"
+    doc.write_text((PROBLEMS / "daubechies4.json").read_text())
+    made = []
+    mkdir = Path.mkdir
+
+    def counting(path, *args, **kwargs):
+        made.append(path)
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting)
+    outdir = tmp_path / "dumps"
+    code, _, err = run_main(command[:1] + [str(doc)] + command[1:] + ["--outdir", str(outdir)])
+    assert code == 0, err
+    assert len(list(outdir.glob("*.tsv"))) == 5
+    assert made == [outdir]
+
+
+def test_unusable_dump_directory_is_one_parse_error(tmp_path):
+    doc = tmp_path / "haar.json"
+    doc.write_text((PROBLEMS / "haar.json").read_text())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for command in (["cascade"], ["refine", "--left-closed"]):
+        for outdir in (taken, taken / "sub"):
+            code, _, err = run_main(command[:1] + [str(doc)] + command[1:] + ["--outdir", str(outdir)])
+            assert code == 2
+            try:
+                outdir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                reason = exc
+            assert err == f"error: ParseError: cannot write {outdir / 'haar.level0.tsv'}: {reason}\n"
 
 
 def test_determinant_adjugate_and_spectrum_share_one_pass(counted):

@@ -96,6 +96,15 @@ class TestAnalyze:
         result = run_cli("analyze", skew_doc)
         assert "jordan-blocks:" in result.stdout
 
+    def test_long_shear_reports_its_four_classes(self, tmp_path):
+        # m = 4, while the box spanned by M's columns holds 9,000,009 points
+        doc = write_doc(tmp_path, "shear", 2, [[2, 3000000], [0, 2]],
+                        [{"q": [0, 0], "c": "1/2"}, {"q": [1, 0], "c": "1/2"}])
+        result = run_cli("analyze", doc, "--format", "structured")
+        assert result.returncode == 0, result.stderr
+        reps = [c["representative"] for c in json.loads(result.stdout)["coset_sums"]]
+        assert reps == [[0, 0], [1, 0], [1500000, 1], [1500001, 1]]
+
 
 class TestBound:
     def test_d4_reports_1d_bound(self, d4_doc):
@@ -269,7 +278,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command", ["analyze", "check"])
     def test_huge_residue_box_is_refused(self, tmp_path, command):
-        # the representative box of Z^2 / M Z^2 holds about 1e12 points
+        # Z^2 / M Z^2 has about 1e12 classes
         doc = close_doc(tmp_path, CLOSE_EIGENVALUES["diagonal"])
         assert_one_error_line(run_cli(command, doc, timeout=30), "EnumerationTooLarge")
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from refinable import problem_from_data
 from refinable.cascade import SampledFunction
-from refinable.errors import IndexOverflow
+from refinable.errors import EnumerationTooLarge, IndexOverflow
 from refinable.linalg import DilationMatrix, IntMatrix
 from refinable.mask import COSET_UNIFORM_TOL, _coset_representatives, coset_sum_report
 from refinable.pointwise import ValueTable, periodization_check
@@ -227,11 +227,44 @@ def test_representatives_are_exactly_m_sorted_points():
         reps = _coset_representatives(matrix)
         assert reps.dtype == np.int64 and len(reps) == matrix.m
         assert list(map(tuple, reps.tolist())) == reference_representatives(matrix)
-    # a 1-D box wider than one scan chunk
+    # a 1-D quotient of 100003 classes
     wide = DilationMatrix.from_rows([[-100003]])
     reps = _coset_representatives(wide)
     assert reps[:, 0].tolist() == list(range(-100002, 1))
     assert math.prod(reps.shape) == 100003
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+                       min_size=d, max_size=d)))
+def test_representatives_match_the_box_scan(rows):
+    matrix = DilationMatrix.from_rows(rows)
+    assume(matrix.determinant != 0)
+    reps = _coset_representatives(matrix)
+    assert list(map(tuple, reps.tolist())) == reference_representatives(matrix)
+
+
+@pytest.mark.parametrize("b", [3_000_000, 10**9])
+def test_representatives_cost_follows_m_not_the_entries(b):
+    # m = 4, while the box spanned by M's columns holds about 3b points
+    matrix = DilationMatrix.from_rows([[2, b], [0, 2]])
+    reps = _coset_representatives(matrix).tolist()
+    assert reps == [[0, 0], [1, 0], [b // 2, 1], [b // 2 + 1, 1]]
+    inv = fraction_inverse(matrix.matrix)
+    assert all(0 <= t < 1 for rep in reps for t in apply(inv, rep))
+    keys = matrix.residues(1, np.asarray(reps, dtype=np.int64))
+    assert len(set(map(tuple, keys.tolist()))) == 4
+
+
+def test_representatives_refused_past_the_cap_or_int64():
+    with pytest.raises(EnumerationTooLarge, match="5000001 residue classes"):
+        _coset_representatives(DilationMatrix.from_rows([[5_000_001]]))
+    # the representatives reach M's row sums, which must stay below 2^63 / m
+    reps = _coset_representatives(DilationMatrix.from_rows([[2, 2**60], [0, 2]]))
+    assert reps.tolist() == [[0, 0], [1, 0], [2**59, 1], [2**59 + 1, 1]]
+    with pytest.raises(IndexOverflow):
+        _coset_representatives(DilationMatrix.from_rows([[2, 2**61], [0, 2]]))
 
 
 def test_coset_sums_of_indices_beyond_int64():

@@ -124,13 +124,14 @@ MATRICES = {
     2: DilationMatrix.from_rows([[0, 1], [3, 1]]),
     3: DilationMatrix.from_rows([[1, 1, 0], [0, 1, 1], [2, 0, 1]]),
 }
-# non-finite values, and the neighbours of the ends of the range in which
-# orjson and repr share a notation, besides zeros, subnormals and extremes
+# non-finite values, and the neighbours of the ends of the ranges in which
+# orjson and repr share a notation (below 1e-9, and [1e-4, 1e16)), besides
+# zeros, subnormals and extremes; the writer tests negate them too
 EDGE_VALUES = [
     0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1.5, 1 / 3,
     math.nan, math.inf, -math.inf, 1e15, 2.0**53 + 2,
-    *(float(np.nextafter(x, to)) for x in (1e-4, 1e16) for to in (0.0, math.inf)),
-    1e-4, 1e16,
+    *(float(np.nextafter(x, to)) for x in (1e-9, 1e-4, 1e16) for to in (0.0, math.inf)),
+    1e-9, -1e-9, 1e-4, 1e16,
 ]
 
 
@@ -162,6 +163,39 @@ def test_formatted_matches_repr_across_exponent_range():
     column = np.concatenate([column, -column])
     assert np.count_nonzero(column == 0) and np.count_nonzero(column < 5e-308)
     assert _formatted(column) == list(map(repr, column.tolist()))
+
+
+def counted_repr(monkeypatch):
+    """The values ``refinable.cascade`` passes to ``repr`` from now on."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(cascade, "repr", counting, raising=False)
+    return calls
+
+
+def test_roundoff_keeps_orjson_text(monkeypatch):
+    # the roundoff left where phi vanishes is spelled alike by orjson and
+    # repr, so a column of it calls repr for no cell; [1e-9, 1e-4) is not
+    rng = np.random.default_rng(20)
+    calls = counted_repr(monkeypatch)
+    roundoff = rng.standard_normal(4096) * 1e-16
+    assert _formatted(roundoff) == list(map(repr, roundoff.tolist()))
+    assert calls == []
+    small = 10.0 ** rng.uniform(-9, -4, 4096)
+    assert _formatted(small) == list(map(repr, small.tolist()))
+    assert len(calls) == len(small)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_any_finite_float_formats_like_repr(bits):
+    x = float(np.uint64(bits).view(np.float64))
+    assume(math.isfinite(x))
+    assert _formatted(np.array([x]))[0] == repr(x)
 
 
 def test_formatted_empty_column_is_empty():
