@@ -1,22 +1,21 @@
 """The invariant suite behind ``refinable check``: one record per check.
 
 The library is called through its module attributes, so a wrapper installed
-on ``refinable.bounds``, ``refinable.cascade``, ``refinable.mask`` or
-``refinable.pointwise`` sees every call made here.
+on ``refinable.bounds``, ``refinable.cascade`` or ``refinable.pointwise``
+sees every call made here.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import cascade as cascade_mod
-from . import mask as mask_mod
 from . import pointwise as pointwise_mod
-from .errors import NormalizationImpossible, NormNotContractive, NoUnitEigenvalue
+from .errors import NoLeftClosedLimit, NormalizationImpossible, NoUnitEigenvalue
 from .mask import Problem
 
 
@@ -31,33 +30,19 @@ class Check:
 
 
 def run_checks(problem: Problem, iters: int, levels: int, eps: float) -> list[Check]:
-    """Run the invariant suite: mask, dilation and bounds, a cascade of
-    ``iters`` levels, the transfer eigenvector and ``levels`` refinement
-    levels.  Returns the ten records in a fixed order; ``eps`` is the
-    support threshold of the cascade containment check."""
+    """Run the invariant suite: a cascade of ``iters`` levels, the transfer
+    eigenspace, and ``levels`` refinement levels of the level-0 values that
+    ``values --left-closed`` prints.  Returns the five records in a fixed
+    order; ``eps`` is the support threshold of the cascade containment check.
+    The value records are skipped, naming the error, when there are no such
+    values."""
     checks: list[Check] = []
 
     def record(name: str, passed, detail: str = "") -> None:
         checks.append(Check(name, bool(passed), detail))
 
-    coeff_sum = sum(problem.mask.coefficients.values())
-    record("mask-sum", abs(coeff_sum - 1.0) <= 1e-10, f"sum {float(coeff_sum)!r}")
-    record("dilation", problem.matrix.dilation_check)
-    uniform = mask_mod.coset_sum_report(problem).uniform
-    record("coset-uniformity", True, "uniform" if uniform else "not uniform (reported only)")
-
+    # the bound first: one that cannot be built is refused before the cascade
     best = bounds_mod.best_bound(problem)
-    record("bound-contains-origin", best.contains_many(np.zeros((1, problem.dim)))[0])
-    try:
-        ball = bounds_mod.ball_bound(problem)
-        general = bounds_mod.general_ball_bound(problem)
-        record(
-            "bound-consistency",
-            abs(ball.radius - general.radius) <= 1e-12 * max(1.0, ball.radius),
-        )
-    except NormNotContractive:
-        record("bound-consistency", True, "not contractive; skipped")
-
     iterates = cascade_mod.run_cascade(
         problem, cascade_mod.InitialFunctionKind.INDICATOR_BOX, iters
     )
@@ -78,30 +63,39 @@ def run_checks(problem: Problem, iters: int, levels: int, eps: float) -> list[Ch
             for lo, hi, h, c in zip(support.lo, support.hi, box.half_widths, cell)
         ))
 
-    transfer = pointwise_mod.transfer_matrix(problem)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = pointwise_mod.integer_values(transfer)
+        # no tie-break yet: a refused one still leaves the eigenspace's
+        # residual, and the tie-break below reads this same eigensolve
+        result, _, level0 = pointwise_mod.resolve_values(problem, False)
     except (NoUnitEigenvalue, NormalizationImpossible) as exc:
         record("transfer-eigen-residual", False, type(exc).__name__)
-        result = None
-    if result is not None:
-        residual = max(
-            float(np.max(np.abs(transfer.matrix @ row - row)))
-            / max(float(np.max(np.abs(row))), 1e-300)
-            for row in result.basis
-        )
-        record("transfer-eigen-residual", residual <= 1e-8, f"residual {residual:.3g}")
+        return _skipped(checks, type(exc).__name__)
+    transfer = pointwise_mod.transfer_matrix(problem)
+    residual = max(
+        float(np.max(np.abs(transfer.matrix @ row - row)))
+        / max(float(np.max(np.abs(row))), 1e-300)
+        for row in result.basis
+    )
+    record("transfer-eigen-residual", residual <= 1e-8, f"residual {residual:.3g}")
+    if level0 is None:
+        try:
+            level0 = pointwise_mod._left_closed_limit(problem, result)
+        except (NoLeftClosedLimit, NormalizationImpossible) as exc:
+            return _skipped(checks, type(exc).__name__)
 
-    if result is not None and result.normalized:
-        table = pointwise_mod.refine_values(problem, result.values, levels)
-        worst = pointwise_mod.refine_consistency(problem, table)
-        record("refine-consistency", worst <= 1e-12, f"max deviation {worst:.3g}")
-        deviations = pointwise_mod.periodization_check(problem, table, 0, transfer.points)
-        worst_dev = max(d for _, _, d in deviations)
-        record("partition-of-unity", worst_dev <= 1e-8, f"max deviation {worst_dev:.3g}")
-    else:
-        record("refine-consistency", True, "non-unique values; skipped")
-        record("partition-of-unity", True, "non-unique values; skipped")
+    table = pointwise_mod.refine_values(problem, level0, levels)
+    worst = pointwise_mod.refine_consistency(problem, table)
+    record("refine-consistency", worst <= 1e-12, f"max deviation {worst:.3g}")
+    top = table.samples[levels].indices
+    probes = top[:: math.ceil(len(top) / 50)] @ problem.matrix.inverse_power_array(levels).T
+    deviations = pointwise_mod.periodization_check(problem, table, levels, probes)
+    worst_dev = max(d for _, _, d in deviations)
+    record("partition-of-unity", worst_dev <= 1e-8, f"max deviation {worst_dev:.3g}")
     return checks
+
+
+def _skipped(checks: list[Check], reason: str) -> list[Check]:
+    """The records so far and the two value records, skipped for ``reason``."""
+    detail = f"{reason}; skipped"
+    return checks + [Check("refine-consistency", True, detail),
+                     Check("partition-of-unity", True, detail)]

@@ -276,7 +276,7 @@ class TestErrorPaths:
         assert "Traceback" not in result.stderr
         assert not list(tmp_path.glob("*.tsv"))
 
-    @pytest.mark.parametrize("command", ["analyze", "check"])
+    @pytest.mark.parametrize("command", ["analyze"])
     def test_huge_residue_box_is_refused(self, tmp_path, command):
         # Z^2 / M Z^2 has about 1e12 classes
         doc = close_doc(tmp_path, CLOSE_EIGENVALUES["diagonal"])

@@ -142,7 +142,8 @@ def test_tie_break_reuses_the_one_eigensolve(name, monkeypatch, tmp_path):
     monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals))
     monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
     for argv in (["values", doc, "--left-closed"],
-                 ["refine", doc, "--left-closed", "--levels", "1", "--outdir", str(tmp_path)]):
+                 ["refine", doc, "--left-closed", "--levels", "1", "--outdir", str(tmp_path)],
+                 ["check", doc]):
         calls.clear()
         code, _, err = run_main(argv)
         assert code == 0 and err == "", err
