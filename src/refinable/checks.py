@@ -43,9 +43,7 @@ def run_checks(problem: Problem, iters: int, levels: int, eps: float) -> list[Ch
 
     # the bound first: one that cannot be built is refused before the cascade
     best = bounds_mod.best_bound(problem)
-    iterates = cascade_mod.run_cascade(
-        problem, cascade_mod.InitialFunctionKind.INDICATOR_BOX, iters
-    )
+    iterates = cascade_mod.run_cascade(problem, levels=iters)
     masses = [cascade_mod.discrete_mass(problem, f) for f in iterates]
     drift = max(abs(x - masses[0]) for x in masses)
     record("cascade-mass", drift <= 1e-12 * max(1.0, abs(masses[0])), f"drift {drift:.3g}")
@@ -66,7 +64,7 @@ def run_checks(problem: Problem, iters: int, levels: int, eps: float) -> list[Ch
     try:
         # no tie-break yet: a refused one still leaves the eigenspace's
         # residual, and the tie-break below reads this same eigensolve
-        result, _, level0 = pointwise_mod.resolve_values(problem, False)
+        result = pointwise_mod.resolve_values(problem, False)[0]
     except (NoUnitEigenvalue, NormalizationImpossible) as exc:
         record("transfer-eigen-residual", False, type(exc).__name__)
         return _skipped(checks, type(exc).__name__)
@@ -77,11 +75,10 @@ def run_checks(problem: Problem, iters: int, levels: int, eps: float) -> list[Ch
         for row in result.basis
     )
     record("transfer-eigen-residual", residual <= 1e-8, f"residual {residual:.3g}")
-    if level0 is None:
-        try:
-            level0 = pointwise_mod._left_closed_limit(problem, result)
-        except (NoLeftClosedLimit, NormalizationImpossible) as exc:
-            return _skipped(checks, type(exc).__name__)
+    try:
+        level0 = pointwise_mod.resolve_values(problem, True)[2]
+    except (NoLeftClosedLimit, NormalizationImpossible) as exc:
+        return _skipped(checks, type(exc).__name__)
 
     table = pointwise_mod.refine_values(problem, level0, levels)
     worst = pointwise_mod.refine_consistency(problem, table)

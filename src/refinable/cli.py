@@ -205,12 +205,7 @@ def _cmd_cascade(args) -> int:
     problem = _load_problem(args.problem)
     _require_range("--iters", args.iters, 0, LEVEL_CAP)
     _require_range("--eps", args.eps, 0)
-    kind = (
-        cascade_mod.InitialFunctionKind.INDICATOR_BOX
-        if args.initial == "box"
-        else cascade_mod.InitialFunctionKind.TENSOR_HAT
-    )
-    iterates = cascade_mod.run_cascade(problem, kind, args.iters)
+    iterates = cascade_mod.run_cascade(problem, levels=args.iters)
     outdir = Path(args.outdir)
     stem = Path(args.problem).stem
     for i, sampled in enumerate(iterates):
@@ -251,7 +246,7 @@ def _cmd_values(args) -> int:
         lines.extend(
             f"phi{point}: {_fmt(value)}" for point, value in zip(points, data["values"])
         )
-        if result.normalized and zeros:
+        if zeros:
             lines.append(f"structural-zeros: {', '.join(map(str, zeros))}")
     else:
         lines.extend(
@@ -281,7 +276,7 @@ def _cmd_refine(args) -> int:
     outdir = Path(args.outdir)
     stem = Path(args.problem).stem
     for i, (level, sampled) in enumerate(sorted(table.samples.items())):
-        single = pointwise_mod.ValueTable({level: sampled}, table.normalized)
+        single = pointwise_mod.ValueTable({level: sampled})
         path = outdir / f"{stem}.level{level}.tsv"
         with _open_dump(path, i == 0) as handle:
             pointwise_mod.export_values(problem, single, handle)

@@ -74,10 +74,6 @@ class NotDilationEigenvalue(RefinableError):
     """A per-block bound was requested for an eigenvalue with modulus <= 1."""
 
 
-class NoBoundAvailable(RefinableError):
-    """No support bound could be computed for the problem."""
-
-
 # --- lattice evaluation ------------------------------------------------------
 
 class DomainTooSmall(RefinableError):
@@ -101,10 +97,11 @@ class NormalizationImpossible(RefinableError):
 
 
 class EnumerationTooLarge(RefinableError):
-    """A lattice enumeration exceeds its cap: a level's index box or the
-    residue representative box holds more points than the enumeration cap,
-    the candidate set is too large for a dense transfer matrix, or a cascade
-    level would scatter more rows than the cascade's cap."""
+    """A lattice enumeration exceeds its cap: a level's index box holds
+    more points than the enumeration cap, the matrix has more residue
+    classes than that cap, the candidate set is too large for a dense
+    transfer matrix, or a cascade or refinement level would scatter more
+    rows than the scatter cap."""
 
 
 class IndexOverflow(RefinableError):

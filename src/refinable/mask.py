@@ -40,7 +40,7 @@ from .linalg import MAX_DIM, DilationMatrix, IntMatrix
 
 MASK_SUM_TOL = 1e-12
 COSET_UNIFORM_TOL = 1e-10
-# the most lattice points one box scan may visit, here and in pointwise
+# the most residue classes here, and the most points in a pointwise index box
 _ENUMERATION_CAP = 5_000_000
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+/[1-9]\d*$")

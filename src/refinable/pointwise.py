@@ -29,11 +29,9 @@ from .cascade import (
     write_rows,
 )
 from .errors import (
-    ContractionSearchExhausted,
     DomainTooSmall,
     EnumerationTooLarge,
     IndexOverflow,
-    NoBoundAvailable,
     NoLeftClosedLimit,
     NonFiniteArithmetic,
     NonUniqueWarning,
@@ -58,11 +56,7 @@ _ESCAPE_RTOL = 1e-9
 def candidate_points(problem: Problem) -> np.ndarray:
     """All integer points inside the best available support bound, as
     sorted ``(N, d)`` int64 rows; enumerated once per problem, read-only."""
-    try:
-        bound = best_bound(problem)
-    except ContractionSearchExhausted as exc:
-        raise NoBoundAvailable(str(exc)) from exc
-    points = lattice_points_in_bound(problem, bound, 0)
+    points = lattice_points_in_bound(problem, best_bound(problem), 0)
     points.flags.writeable = False
     return points
 
@@ -222,14 +216,13 @@ class IntegerValues:
     points: np.ndarray
     basis: np.ndarray
     eigenspace_dimension: int
-    normalized: bool
     structural_zeros: np.ndarray
     left_basis: np.ndarray
     spectral_radius: float
 
     @cached_property
     def values(self) -> SampledFunction:
-        if not self.normalized:
+        if self.eigenspace_dimension != 1:
             raise ValueError(
                 "eigenspace is not one-dimensional; no canonical values"
             )
@@ -278,14 +271,27 @@ def integer_values(transfer: TransferMatrix) -> IntegerValues:
         vec /= total
         zeros = np.compress(np.abs(vec) <= STRUCTURAL_ZERO_TOL, transfer.points, axis=0)
     else:
-        warnings.warn(
-            f"eigenvalue-1 eigenspace has dimension {dimension}; integer values "
-            f"are not unique",
-            NonUniqueWarning,
-            stacklevel=2,
-        )
+        warnings.warn(_non_unique(dimension), NonUniqueWarning, stacklevel=2)
     left, radius = u[:, n - dimension :].T.copy(), float(np.abs(eigs).max())
-    return IntegerValues(transfer.points, basis, dimension, dimension == 1, zeros, left, radius)
+    return IntegerValues(transfer.points, basis, dimension, zeros, left, radius)
+
+
+def _non_unique(dimension: int) -> str:
+    """The NonUniqueWarning message, also the note resolve_values reports."""
+    return f"eigenvalue-1 eigenspace has dimension {dimension}; integer values are not unique"
+
+
+@per_problem
+def _eigenspace(problem: Problem) -> IntegerValues:
+    """:func:`integer_values` of :func:`transfer_matrix`, solved once per
+    problem; its arrays are read-only.  The NonUniqueWarning is suppressed,
+    since its callers report the eigenspace dimension themselves."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUniqueWarning)
+        result = integer_values(transfer_matrix(problem))
+    for array in (result.basis, result.structural_zeros, result.left_basis):
+        array.flags.writeable = False
+    return result
 
 
 def _on_candidates(points: np.ndarray, seed: SampledFunction) -> np.ndarray:
@@ -309,12 +315,17 @@ def _on_candidates(points: np.ndarray, seed: SampledFunction) -> np.ndarray:
     return values
 
 
-def _left_closed_limit(problem: Problem, result: IntegerValues) -> SampledFunction:
-    """The Cesaro limit of B^n e_0, e_0 the box indicator's integer samples,
-    normalized to sum one: the projection R^T (L R^T)^-1 L e_0 of e_0 onto
-    ker(B - I) along range(B - I), R and L the right and left null rows.
-    Refused where no limit exists: B has an eigenvalue beyond the unit
-    circle, or eigenvalue 1 is not semisimple (L R^T is singular)."""
+def converged_integer_values(problem: Problem) -> SampledFunction:
+    """The limit of the transfer iteration on the box indicator's integer
+    samples e_0, the cascade restricted to the integer lattice: the Cesaro
+    limit of B^n e_0, normalized to sum one.  That is the projection
+    R^T (L R^T)^-1 L e_0 of e_0 onto ker(B - I) along range(B - I), R and L
+    the right and left null rows of the problem's one eigensolve.  It
+    resolves a non-unique eigenspace toward the half-open box indicator's
+    limit, without a NonUniqueWarning.  Refused where no limit exists: B has
+    an eigenvalue beyond the unit circle, or eigenvalue 1 is not semisimple
+    (L R^T is singular)."""
+    result = _eigenspace(problem)
     if result.spectral_radius > 1.0 + UNIT_EIGENVALUE_TOL:
         raise NoLeftClosedLimit(
             f"transfer spectral radius {result.spectral_radius:.6g} exceeds 1; "
@@ -336,32 +347,25 @@ def _left_closed_limit(problem: Problem, result: IntegerValues) -> SampledFuncti
     return SampledFunction(0, result.points, projected / total)
 
 
-def converged_integer_values(problem: Problem) -> SampledFunction:
-    """The limit of the transfer iteration on the box indicator's integer
-    samples, the cascade restricted to the integer lattice (see
-    :func:`_left_closed_limit`).  It resolves a non-unique eigenspace toward
-    the half-open box indicator's limit, without a NonUniqueWarning."""
-    return _left_closed_limit(problem, resolve_values(problem, False)[0])
-
-
 def resolve_values(
     problem: Problem, left_closed: bool
 ) -> tuple[IntegerValues, list[str], SampledFunction | None]:
     """Integer-point values as ``values`` and ``refine`` report them: the
-    eigenspace, the messages of any NonUniqueWarning plus a note when the
-    tie-break applied, and the level-0 function of the values, or None when
-    the eigenspace is not one-dimensional and no tie-break was asked for.
+    eigenspace, a note on its dimension when it is above one plus a note
+    when the tie-break applied, and the level-0 function of the values, or
+    None when the eigenspace is not one-dimensional and no tie-break was
+    asked for.
 
     With ``left_closed`` a larger eigenspace is resolved toward the limit of
     :func:`converged_integer_values`, read off the same eigensolve.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = integer_values(transfer_matrix(problem))
-    notes = [str(w.message) for w in caught if issubclass(w.category, NonUniqueWarning)]
-    if result.normalized or not left_closed:
-        return result, notes, result.values if result.normalized else None
-    return result, notes + ["left-closed tie-break applied"], _left_closed_limit(problem, result)
+    result = _eigenspace(problem)
+    if result.eigenspace_dimension == 1:
+        return result, [], result.values
+    notes = [_non_unique(result.eigenspace_dimension)]
+    if not left_closed:
+        return result, notes, None
+    return result, notes + ["left-closed tie-break applied"], converged_integer_values(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +378,6 @@ class ValueTable:
     stored as the sorted index and value arrays of a SampledFunction."""
 
     samples: dict[int, SampledFunction]
-    normalized: bool
 
     @property
     def max_level(self) -> int:
@@ -465,8 +468,7 @@ def refine_values(
         indices, values = np.compress(inside, indices, axis=0), values[inside]
         images = _images(problem, samples[level - 1].indices)
         samples[level] = SampledFunction(level, *_with_images(indices, values, images))
-    total = math.fsum(samples[0].values.tolist())
-    return ValueTable(samples, abs(total - 1.0) <= 1e-12)
+    return ValueTable(samples)
 
 
 def refine_consistency(problem: Problem, table: ValueTable) -> float:
@@ -558,8 +560,4 @@ def read_values(stream: IO[str]) -> ValueTable:
         if np.any(np.all(indices[1:] == indices[:-1], axis=1)):
             raise ValueError(f"level {level} repeats an index")
         samples[level] = SampledFunction(level, indices, value_col[at_level][order])
-    level0 = samples.get(0)
-    normalized = (
-        level0 is not None and abs(math.fsum(level0.values.tolist()) - 1.0) <= 1e-12
-    )
-    return ValueTable(samples, normalized)
+    return ValueTable(samples)

@@ -143,7 +143,7 @@ def tables(draw):
         ks = draw(st.lists(index, min_size=1, max_size=6))
         inv = problem.matrix.inverse_power_array(level)
         probes[level] = [tuple((np.asarray(k, dtype=float) @ inv.T).tolist()) for k in ks]
-    return problem, ValueTable(samples, False), probes
+    return problem, ValueTable(samples), probes
 
 
 SETTINGS = settings(

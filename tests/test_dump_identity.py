@@ -79,7 +79,7 @@ def test_refine_dump_is_the_padded_dump_without_zero_rows(problem):
     assert sorted(table.samples) == sorted(oracle) == list(range(7))
     for level, sampled in sorted(table.samples.items()):
         buffer = io.StringIO()
-        export_values(problem, ValueTable({level: sampled}, table.normalized), buffer)
+        export_values(problem, ValueTable({level: sampled}), buffer)
         got = buffer.getvalue().splitlines(keepends=True)
         rows = oracle[level]
         indices = np.asarray(list(rows), dtype=np.int64).reshape(len(rows), problem.dim)

@@ -266,6 +266,30 @@ def test_float_overflow_ends_in_one_error_line_without_warnings(case, template, 
         assert err.startswith(f"error: {expected}: ") and err.count("\n") == 1, err
 
 
+# |det M| = 2, but no power of M up to the search cap has a contractive
+# inverse, so no support bound exists.  Every subcommand that needs one
+# names the same failure.
+NO_BOUND = {
+    "dimension": 2, "matrix": [[16777216, -1], [281474959933442, -16777215]],
+    "coefficients": [{"q": [0, 0], "c": "1/2"}, {"q": [1, 0], "c": "1/2"}],
+}
+
+
+@pytest.mark.parametrize(
+    "template",
+    [["bound"], ["values"], ["refine", "--left-closed", "--outdir", "{out}"], ["check"]],
+    ids=lambda t: t[0],
+)
+def test_exhausted_bound_search_prints_one_code(template, tmp_path):
+    doc = tmp_path / "problem.json"
+    doc.write_text(json.dumps(NO_BOUND))
+    argv = [template[0], str(doc)] + [a.replace("{out}", str(tmp_path / "out")) for a in template[1:]]
+    code, out, err = run_main(argv)
+    assert code == 3
+    assert ERROR_LINE.findall(err) == ["error: ContractionSearchExhausted: "]
+    assert err.count("\n") == 1 and out == ""
+
+
 # Float coefficients summing to one whose partial sums leave float range:
 # the sum cannot be checked in floats, so the mask is refused when parsed.
 SUM_BEYOND_FLOAT_RANGE = {

@@ -131,6 +131,33 @@ def _module_aliases(tree: ast.AST) -> set[str]:
     }
 
 
+def private_reads(source: str) -> list[str]:
+    """``<module alias>._name`` reads in ``source`` of another package
+    module's private names.  A wrapper installed on a module's public names
+    sees no call that goes through such a read."""
+    tree = ast.parse(source)
+    modules = _module_aliases(tree)
+    return [
+        f"line {node.lineno}: {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_is_read_through_a_module(path):
+    assert private_reads(path.read_text()) == []
+
+
+def test_scan_finds_a_private_read():
+    source = (
+        "from . import pointwise as pw\nfrom .cascade import _row_keys\n"
+        "def f(p, x):\n    return pw._eigenspace(p), pw.resolve_values(p, True), x._cache\n"
+    )
+    assert private_reads(source) == ["line 4: pw._eigenspace"]
+
+
 def names_read(source: str) -> set[str]:
     """Names ``source`` reads: bare, as an attribute of a package module
     (``bounds_mod.best_bound``), or as a module it imports from, except where

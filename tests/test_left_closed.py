@@ -126,10 +126,9 @@ def test_solvers_that_disagree_are_refused(monkeypatch):
         integer_values(transfer)
 
 
-@pytest.mark.parametrize("name", ["haar", "quincunx", "skew3"])
-def test_tie_break_reuses_the_one_eigensolve(name, monkeypatch, tmp_path):
-    doc = str(PROBLEMS / f"{name}.json")
-    n = len(candidate_points(parse_problem(Path(doc).read_text())))
+def count_eigensolves(monkeypatch, n):
+    """The names of the ``eigvals`` and ``svd`` calls on n x n matrices,
+    recorded from now on."""
     calls = []
 
     def counted(fn):
@@ -141,6 +140,14 @@ def test_tie_break_reuses_the_one_eigensolve(name, monkeypatch, tmp_path):
 
     monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals))
     monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["haar", "quincunx", "skew3"])
+def test_tie_break_reuses_the_one_eigensolve(name, monkeypatch, tmp_path):
+    doc = str(PROBLEMS / f"{name}.json")
+    n = len(candidate_points(parse_problem(Path(doc).read_text())))
+    calls = count_eigensolves(monkeypatch, n)
     for argv in (["values", doc, "--left-closed"],
                  ["refine", doc, "--left-closed", "--levels", "1", "--outdir", str(tmp_path)],
                  ["check", doc]):
@@ -148,3 +155,18 @@ def test_tie_break_reuses_the_one_eigensolve(name, monkeypatch, tmp_path):
         code, _, err = run_main(argv)
         assert code == 0 and err == "", err
         assert sorted(calls) == ["eigvals", "svd"], argv
+
+
+def test_library_calls_share_the_one_eigensolve(monkeypatch):
+    problem = parse_problem((PROBLEMS / "haar.json").read_text())
+    calls = count_eigensolves(monkeypatch, len(candidate_points(problem)))
+    _, plain_notes, plain = resolve_values(problem, False)
+    _, notes, values = resolve_values(problem, True)
+    converged = converged_integer_values(problem)
+    assert sorted(calls) == ["eigvals", "svd"]
+    assert plain is None and plain_notes == notes[:1]
+    _, notes_again, values_again = resolve_values(problem, True)
+    assert notes_again == notes
+    for again in (values_again, converged, converged_integer_values(problem)):
+        assert again.values.tobytes() == values.values.tobytes()
+    assert sorted(calls) == ["eigvals", "svd"]

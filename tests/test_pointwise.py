@@ -143,7 +143,6 @@ class TestIntegerValues:
         transfer = build_transfer_matrix(d4_problem, candidate_points(d4_problem))
         result = integer_values(transfer)
         assert result.eigenspace_dimension == 1
-        assert result.normalized
         values = result.values.as_dict()
         assert values[(1,)] == pytest.approx((1 + SQRT3) / 2, abs=1e-10)
         assert values[(2,)] == pytest.approx((1 - SQRT3) / 2, abs=1e-10)
@@ -164,7 +163,8 @@ class TestIntegerValues:
         with pytest.warns(NonUniqueWarning):
             result = integer_values(transfer)
         assert result.eigenspace_dimension == 2
-        assert not result.normalized
+        with pytest.raises(ValueError, match="not one-dimensional"):
+            result.values
         # the eigenspace is spanned by spikes at 0 and 1
         span = result.basis
         for vec in span:
@@ -197,7 +197,7 @@ class TestResolveValues:
     def test_unique_eigenspace_needs_no_tie_break(self, d4_problem):
         for left_closed in (False, True):
             result, notes, values = resolve_values(d4_problem, left_closed)
-            assert result.normalized and notes == []
+            assert result.eigenspace_dimension == 1 and notes == []
             assert values is result.values
 
     def test_haar_without_tie_break_has_no_values(self, haar_problem):
@@ -219,7 +219,7 @@ class TestResolveValues:
 class TestRefineValues:
     def test_haar_is_exact_indicator(self, haar_problem):
         table = refine_values(haar_problem, seed_from({(0,): 1.0, (1,): 0.0}), 6)
-        assert table.normalized
+        assert table.samples[0].values.sum() == 1.0
         for level in range(0, 7):
             for k, value in table.levels[level].items():
                 expected = 1.0 if 0 <= k[0] < 2**level else 0.0

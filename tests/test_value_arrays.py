@@ -25,10 +25,10 @@ from refinable import (
 from refinable.bounds import best_bound
 from refinable.cascade import SampledFunction
 from refinable.errors import (
+    ContractionSearchExhausted,
     DomainTooSmall,
     EnumerationTooLarge,
     IndexOverflow,
-    NoBoundAvailable,
 )
 from refinable.pointwise import _enumeration_halves
 
@@ -106,7 +106,7 @@ def refine_cases(draw):
             math.prod(2 * h + 1 for h in _enumeration_halves(problem, bound, level))
             for level in range(1, levels + 1)
         ]
-    except (NoBoundAvailable, EnumerationTooLarge):
+    except (ContractionSearchExhausted, EnumerationTooLarge):
         assume(False)
     assume(len(points) <= 200 and max(volumes) <= _VOLUME_LIMIT)
     value = st.one_of(
@@ -225,8 +225,7 @@ def test_export_read_round_trip(d):
             0: sampled(0, [(0,) * d], [1.0], d),
             1: sampled(1, [], [], d),
             3: sampled(3, full, values, d),
-        },
-        True,
+        }
     )
     buffer = io.StringIO()
     export_values(matrix_problem, table, buffer)
@@ -235,7 +234,7 @@ def test_export_read_round_trip(d):
     # a level without rows leaves nothing in the file to read back
     assert sorted(again.samples) == [0, 3]
     same_levels(again.levels, {j: table.levels[j] for j in (0, 3)})
-    assert again.normalized
+    assert again.samples[0].values.tolist() == [1.0]
     for j in (0, 3):
         assert np.array_equal(again.samples[j].indices, table.samples[j].indices)
 
@@ -246,7 +245,7 @@ def test_read_sorts_rows_and_rejects_repeats():
     table = read_values(io.StringIO(header + "\n".join(rows) + "\n"))
     assert table.samples[2].indices.tolist() == [[-1, 3], [1, -2], [1, 0]]
     assert bits(table.samples[2].values).tolist() == bits([0.25, -0.0, 0.5]).tolist()
-    assert not table.normalized
+    assert sorted(table.samples) == [2]
     with pytest.raises(ValueError, match="repeats"):
         read_values(io.StringIO(header + rows[0] + "\n" + rows[0] + "\n"))
 
