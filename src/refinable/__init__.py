@@ -54,7 +54,6 @@ from .mask import (
     Mask,
     Problem,
     coset_sum_report,
-    mask_radius,
     parse_problem,
     problem_from_data,
     serialize_problem,

@@ -344,37 +344,36 @@ def enclosing_integer_box(bound: SupportBound) -> Box:
     return Box(halves, f"integer box of [{bound.provenance}]")
 
 
+def _if_applicable(rule, problem: Problem) -> SupportBound | None:
+    """The bound ``rule(problem)``, or None when the inverse norm does not
+    contract, the spectrum is complex or the Jordan transform is refused."""
+    try:
+        return rule(problem)
+    except (NormNotContractive, ComplexSpectrum, IllConditionedTransform):
+        return None
+
+
 @per_problem
 def best_bound(problem: Problem) -> SupportBound:
     """The preferred available bound: norm ball when contractive, otherwise
     the Jordan parallelepiped, otherwise the iterated-norm ball.  Selected
     once per problem."""
-    try:
-        return ball_bound(problem)
-    except NormNotContractive:
-        pass
-    try:
-        return parallelepiped_bound(problem)
-    except (ComplexSpectrum, IllConditionedTransform):
-        pass
-    return general_ball_bound(problem)
+    return (
+        _if_applicable(ball_bound, problem)
+        or _if_applicable(parallelepiped_bound, problem)
+        or general_ball_bound(problem)
+    )
 
 
 def applicable_bounds(problem: Problem) -> list[SupportBound]:
     """Every bound whose preconditions hold, in a fixed report order."""
-    results: list[SupportBound] = []
+    results: list[SupportBound | None] = []
     if problem.dim == 1:
         half = bound_1d(problem.matrix.determinant, problem.mask.radius)
         results.append(Box((half,), "1d"))
-    try:
-        results.append(ball_bound(problem))
-    except NormNotContractive:
-        pass
+    results.append(_if_applicable(ball_bound, problem))
     if problem.matrix.matrix.is_diagonal():
         results.append(diagonal_bound(problem))
-    try:
-        results.append(parallelepiped_bound(problem))
-    except (ComplexSpectrum, IllConditionedTransform):
-        pass
+    results.append(_if_applicable(parallelepiped_bound, problem))
     results.append(general_ball_bound(problem))
-    return results
+    return [bound for bound in results if bound is not None]

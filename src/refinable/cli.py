@@ -29,9 +29,12 @@ from . import cascade as cascade_mod
 from . import checks as checks_mod
 from . import pointwise as pointwise_mod
 from .errors import (
+    ComplexSpectrum,
     DimensionMismatch,
     EmptyMask,
+    IllConditionedTransform,
     MaskSumViolation,
+    NonUniqueValues,
     NormNotContractive,
     NotDilation,
     ParseError,
@@ -168,16 +171,15 @@ def _cmd_analyze(args) -> int:
         )
         + f" (uniform: {'yes' if report.uniform else 'no'})",
     ]
-    if mat.spectrum.all_real:
-        structure = mat.jordan_structure
-        data["jordan_blocks"] = [[lam, size] for lam, size in structure.blocks]
-        lines.append(
-            "jordan-blocks: "
-            + ", ".join(f"({_fmt(lam)}, size {s})" for lam, s in structure.blocks)
-        )
-    else:
-        data["jordan_blocks"] = None
-        lines.append("jordan-blocks: not real (complex eigenvalues)")
+    try:
+        blocks = mat.jordan_structure.blocks
+        data["jordan_blocks"] = [[lam, size] for lam, size in blocks]
+        summary = ", ".join(f"({_fmt(lam)}, size {s})" for lam, s in blocks)
+    except ComplexSpectrum:
+        data["jordan_blocks"], summary = None, "not real (complex eigenvalues)"
+    except IllConditionedTransform as exc:
+        data["jordan_blocks"], summary = None, f"not available ({exc})"
+    lines.append(f"jordan-blocks: {summary}")
     _emit(data, lines, args.format)
     return 0
 
@@ -264,12 +266,9 @@ def _cmd_refine(args) -> int:
     _require_range("--levels", args.levels, 1, LEVEL_CAP)
     _, notes, values = pointwise_mod.resolve_values(problem, args.left_closed)
     if values is None:
-        print(
-            "error: NoUnitEigenvalue-ambiguity: transfer eigenspace is not "
-            "one-dimensional; rerun with --left-closed",
-            file=sys.stderr,
+        raise NonUniqueValues(
+            "transfer eigenspace is not one-dimensional; rerun with --left-closed"
         )
-        return 3
     for note in notes:
         print(f"warning: NonUnique: {note}")
     table = pointwise_mod.refine_values(problem, values, args.levels)

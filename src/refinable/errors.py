@@ -85,6 +85,11 @@ class NoUnitEigenvalue(RefinableError):
     """The transfer matrix has no eigenvalue within tolerance of one."""
 
 
+class NonUniqueValues(RefinableError):
+    """Values were asked for without a tie-break, but the eigenvalue-1
+    eigenspace of the transfer matrix has dimension above one."""
+
+
 class NoLeftClosedLimit(RefinableError):
     """The left-closed tie-break has no limit: the transfer matrix has an
     eigenvalue beyond the unit circle, or its eigenvalue 1 is not

@@ -391,23 +391,24 @@ def _spectrum_verdict(spec: Spectrum) -> DilationCheck:
 # real Jordan structure
 # ---------------------------------------------------------------------------
 
-def _null_basis(matrix: np.ndarray, base_scale: float) -> tuple[np.ndarray, float]:
-    """An orthonormal basis of the numerical kernel of ``matrix`` and its
-    2-norm, the largest singular value.  A singular value counts as zero
-    up to RANK_RTOL times the larger of that norm and ``base_scale``."""
-    _, sing, vt = np.linalg.svd(matrix)
-    norm = float(sing[0])
-    nullity = int(np.sum(sing <= RANK_RTOL * max(base_scale, norm, 1e-300)))
-    if nullity == 0:
-        return np.zeros((matrix.shape[0], 0)), norm
-    basis = vt[-nullity:].T
-    # canonical signs for determinism
-    for j in range(basis.shape[1]):
-        col = basis[:, j]
-        k = int(np.argmax(np.abs(col)))
-        if col[k] < 0:
-            basis[:, j] = -col
-    return basis, norm
+def _canonical_signs(rows: np.ndarray) -> np.ndarray:
+    """The signs, shaped to multiply ``rows`` (or one vector), that make the
+    largest-magnitude entry of each row positive, whatever sign the SVD
+    picked."""
+    peak = np.take_along_axis(rows, np.argmax(np.abs(rows), axis=-1)[..., None], axis=-1)
+    return np.where(peak < 0, -1.0, 1.0)
+
+
+def _null_space(matrix: np.ndarray, rtol: float, floor: float) -> tuple[np.ndarray, ...]:
+    """One SVD of the square ``matrix``: its singular values, largest first,
+    and orthonormal rows spanning its right and left null spaces, where a
+    singular value at or below ``rtol * max(floor, sigma_0)`` counts as
+    zero.  Row i of each belongs to the same singular value, and both take
+    the sign that makes the right row canonical (:func:`_canonical_signs`)."""
+    u, sing, vt = np.linalg.svd(matrix)
+    rank = len(sing) - int(np.sum(sing <= rtol * max(floor, sing[0])))
+    signs = _canonical_signs(vt[rank:])
+    return sing, vt[rank:] * signs, np.ascontiguousarray(u[:, rank:].T) * signs
 
 
 def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure:
@@ -436,7 +437,7 @@ def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure
     columns: list[np.ndarray] = []
     for lam, mult in distinct:
         nmat = a - lam * np.eye(d)
-        base_scale = 0.0  # ||N||_2, read off the first rank test
+        norm = 0.0  # ||N||_2, read off the first rank test
         kernels: list[np.ndarray] = [np.zeros((d, 0))]
         nullities = [0]
         power = np.eye(d)
@@ -446,14 +447,14 @@ def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure
                     f"rank sequence of (M - {lam} I)^k is inconsistent"
                 )
             power = power @ nmat
-            basis, norm = _null_basis(power, base_scale)
-            base_scale = base_scale or norm
-            if basis.shape[1] > mult:
+            sing, basis, _ = _null_space(power, RANK_RTOL, norm)
+            norm = norm or float(sing[0])
+            if len(basis) > mult:
                 raise IllConditionedTransform(
                     "numerical kernel exceeds the algebraic multiplicity"
                 )
-            kernels.append(basis)
-            nullities.append(basis.shape[1])
+            kernels.append(basis.T)
+            nullities.append(len(basis))
         smax = len(nullities) - 1
         chains_ge = [0] * (smax + 2)
         for k in range(1, smax + 1):
@@ -492,9 +493,7 @@ def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure
                         "could not extract an independent chain top"
                     )
                 vec = cand[:, j] / norms[j]
-                kidx = int(np.argmax(np.abs(vec)))
-                if vec[kidx] < 0:
-                    vec = -vec
+                vec = vec * _canonical_signs(vec)
                 tops.append((vec, k))
                 avoid = extend_avoid(avoid, vec.copy())
 
@@ -508,8 +507,7 @@ def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure
             columns.extend(chain)
 
     transform = np.column_stack(columns)
-    sing = np.linalg.svd(transform, compute_uv=False)
-    if sing[-1] <= 0 or sing[0] / sing[-1] > CONDITION_LIMIT:
+    if not np.linalg.cond(transform) <= CONDITION_LIMIT:
         raise IllConditionedTransform(
             f"transform condition number exceeds {CONDITION_LIMIT:g}"
         )

@@ -86,7 +86,8 @@ class Mask:
 
     @cached_property
     def radius(self) -> float:
-        return mask_radius(self)
+        """Largest Euclidean norm over the support indices."""
+        return max(math.sqrt(sum(x * x for x in q)) for q in self.coefficients)
 
     def items_sorted(self) -> list[tuple[tuple[int, ...], float]]:
         return sorted(self.coefficients.items())
@@ -139,13 +140,6 @@ def per_problem(func):
         return artefacts[func]
 
     return memoized
-
-
-def mask_radius(mask: Mask) -> float:
-    """Largest Euclidean norm over the support indices."""
-    if not mask.coefficients:
-        raise EmptyMask("mask has no nonzero coefficient")
-    return max(math.sqrt(sum(x * x for x in q)) for q in mask.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +229,7 @@ def problem_from_data(
             continue
         if frac is None and value == 0.0:
             continue
-        try:  # mask_radius takes the square root of this exact integer
+        try:  # Mask.radius takes the square root of this exact integer
             float(sum(x * x for x in q))
         except OverflowError as exc:
             raise ParseError("index has a squared norm above 1.8e308") from exc

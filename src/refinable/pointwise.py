@@ -38,7 +38,7 @@ from .errors import (
     NormalizationImpossible,
     NoUnitEigenvalue,
 )
-from .linalg import CONDITION_LIMIT
+from .linalg import CONDITION_LIMIT, _null_space
 from .mask import _ENUMERATION_CAP, Problem, per_problem
 
 UNIT_EIGENVALUE_TOL = 1e-9
@@ -242,26 +242,26 @@ def integer_values(transfer: TransferMatrix) -> IntegerValues:
     b = transfer.matrix
     n = transfer.size
     try:
+        # The gate tests |lambda - 1| absolutely; the null-space test below
+        # is relative to sigma_0 and cannot stand alone: for the mask
+        # {0: 1e300, 1: -1e300, 2: 1}, sigma_0 is about 2e300, so every
+        # singular value of B - I would pass a tolerance of about 2e291.
         eigs = np.linalg.eigvals(b)
         if not np.any(np.abs(eigs - 1.0) <= UNIT_EIGENVALUE_TOL):
             nearest = eigs[np.argmin(np.abs(eigs - 1.0))]
             raise NoUnitEigenvalue(
                 f"no eigenvalue within {UNIT_EIGENVALUE_TOL:g} of 1 (nearest: {nearest:.6g})"
             )
-        u, sing, vt = np.linalg.svd(b - np.eye(n))
+        sing, right, left = _null_space(b - np.eye(n), UNIT_EIGENVALUE_TOL, 1.0)
     except np.linalg.LinAlgError as exc:
         raise NonFiniteArithmetic(f"transfer eigensolve failed: {exc}") from exc
-    null_tol = UNIT_EIGENVALUE_TOL * max(1.0, float(sing[0]))
-    dimension = int(np.sum(sing <= null_tol))
+    dimension = len(right)
     if dimension == 0:
+        null_tol = UNIT_EIGENVALUE_TOL * max(1.0, float(sing[0]))
         raise NoUnitEigenvalue(
             f"B - I has no null vector: smallest singular value {sing[-1]:.6g} > {null_tol:.6g}"
         )
-    basis = vt[n - dimension :][::-1].copy()
-    for row in basis:
-        k = int(np.argmax(np.abs(row)))
-        if row[k] < 0:
-            row *= -1.0
+    basis = right[::-1].copy()
     zeros = transfer.points[:0]
     if dimension == 1:
         vec = basis[0]
@@ -272,7 +272,7 @@ def integer_values(transfer: TransferMatrix) -> IntegerValues:
         zeros = np.compress(np.abs(vec) <= STRUCTURAL_ZERO_TOL, transfer.points, axis=0)
     else:
         warnings.warn(_non_unique(dimension), NonUniqueWarning, stacklevel=2)
-    left, radius = u[:, n - dimension :].T.copy(), float(np.abs(eigs).max())
+    radius = float(np.abs(eigs).max())
     return IntegerValues(transfer.points, basis, dimension, zeros, left, radius)
 
 

@@ -105,6 +105,27 @@ class TestAnalyze:
         reps = [c["representative"] for c in json.loads(result.stdout)["coset_sums"]]
         assert reps == [[0, 0], [1, 0], [1500000, 1], [1500001, 1]]
 
+    @pytest.mark.parametrize("matrix", [[[2, 10**9], [0, 2]], [[2, 10**9], [0, 3]]])
+    def test_ill_conditioned_transform_reports_every_other_field(self, tmp_path, matrix):
+        doc = write_doc(tmp_path, "ill", 2, matrix,
+                        [{"q": [0, 0], "c": "1/2"}, {"q": [1, 0], "c": "1/2"}])
+        note = "jordan-blocks: not available (transform condition number exceeds 1e+08)"
+        result = run_cli("analyze", doc)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines()[-1] == note
+        assert "dilation: yes" in result.stdout
+        result = run_cli("analyze", doc, "--format", "structured")
+        assert (result.returncode, result.stderr) == (0, "")
+        data = json.loads(result.stdout)
+        assert data["jordan_blocks"] is None and data["dilation"] is True
+
+    def test_complex_spectrum_line(self, tmp_path):
+        doc = write_doc(tmp_path, "quincunx", 2, [[1, 1], [-1, 1]],
+                        [{"q": [0, 0], "c": "1/2"}, {"q": [1, 0], "c": "1/2"}])
+        result = run_cli("analyze", doc)
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[-1] == "jordan-blocks: not real (complex eigenvalues)"
+
 
 class TestBound:
     def test_d4_reports_1d_bound(self, d4_doc):

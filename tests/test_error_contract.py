@@ -180,7 +180,7 @@ def test_every_subcommand_keeps_the_error_contract(text):
                 event(f"{template[0]}: {ERROR_LINE.match(err).group().strip()}")
 
 
-# Mask indices whose squared norm is beyond float range.  mask_radius takes
+# Mask indices whose squared norm is beyond float range.  Mask.radius takes
 # the square root of that exact integer, and the bounds take the norm of
 # each index in floats, so such a problem is refused when it is parsed.
 HUGE_INDEX = {
@@ -362,7 +362,7 @@ def test_unusable_outdir_is_a_parse_error(template, outdir, tmp_path):
 
 BUNDLED = Path(__file__).resolve().parent.parent / "demos" / "problems"
 AMBIGUOUS = (
-    "error: NoUnitEigenvalue-ambiguity: transfer eigenspace is not one-dimensional; "
+    "error: NonUniqueValues: transfer eigenspace is not one-dimensional; "
     "rerun with --left-closed\n"
 )
 

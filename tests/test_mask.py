@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from refinable import (
     Mask,
     coset_sum_report,
-    mask_radius,
     parse_problem,
     problem_from_data,
     serialize_problem,
@@ -174,10 +173,10 @@ def test_serialize_parse_round_trip(text):
 
 class TestRadius:
     def test_haar(self, haar_problem):
-        assert mask_radius(haar_problem.mask) == 1.0
+        assert haar_problem.mask.radius == 1.0
 
     def test_d4(self, d4_problem):
-        assert mask_radius(d4_problem.mask) == 3.0
+        assert d4_problem.mask.radius == 3.0
 
     def test_euclidean_2d(self):
         problem = problem_from_data(
@@ -185,7 +184,7 @@ class TestRadius:
             [[2, 0], [0, 2]],
             [{"q": [0, 0], "c": "1/2"}, {"q": [1, 1], "c": "1/2"}],
         )
-        assert mask_radius(problem.mask) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert problem.mask.radius == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_permutation_invariance(self):
         records = [{"q": [q], "c": c} for q, c in D4_COEFFS.items()]
