@@ -40,7 +40,6 @@ from .linalg import operator_norm
 from .mask import Problem, per_problem
 
 CONTRACTION_SEARCH_CAP = 64
-EQUAL_TWO_TOL = 1e-12
 _MEMBERSHIP_TOL = 1e-9
 
 
@@ -163,8 +162,9 @@ def ball_bound(problem: Problem) -> Ball:
 
 def finite_level_ball(problem: Problem, initial_radius: float, level: int) -> float:
     """Support radius after ``level`` refinement steps, starting from an
-    initial function supported in a ball of ``initial_radius``:
-    ||M^-1||^n R + Q (||M^-1|| + ... + ||M^-1||^n)."""
+    initial function supported in a ball of ``initial_radius``: the
+    recurrence R <- ||M^-1|| (R + Q), whose fixed point is the radius of
+    :func:`ball_bound`."""
     if level < 1:
         raise ValueError("level must be positive")
     if initial_radius < 0:
@@ -172,12 +172,10 @@ def finite_level_ball(problem: Problem, initial_radius: float, level: int) -> fl
     nrm = problem.matrix.inverse_norm
     if nrm >= 1.0:
         raise NormNotContractive(f"||M^-1|| = {nrm:.6g} >= 1")
-    geometric = 0.0
-    power = 1.0
+    radius = initial_radius
     for _ in range(level):
-        power *= nrm
-        geometric += power
-    return power * initial_radius + problem.mask.radius * geometric
+        radius = nrm * (radius + problem.mask.radius)
+    return radius
 
 
 @per_problem
@@ -232,25 +230,20 @@ def diagonal_bound(problem: Problem) -> Box:
 def jordan_block_bound(eigenvalue: float, size: int, radius: float) -> tuple[float, ...]:
     """Limit half-widths for the s coupled coordinates of one Jordan block.
 
-    With a = |eigenvalue|, coordinate k (1-based) is bounded by the
-    geometric sum Q sum_{i=1..k} (a-1)^-i, which closes to
-    Q/(a-2) (1 - (a-1)^-k) for a != 2 and degenerates to Q k at a = 2.
+    With a = |eigenvalue|, coordinate k (1-based) is bounded by the fixed
+    point of :func:`jordan_recurrence_table`'s column k,
+    h_k = (Q + h_(k-1)) / (a - 1) from h_0 = 0, that is
+    Q sum_{i=1..k} (a-1)^-i; at a = 2 every step is exact and h_k = Q k.
     """
     a = abs(eigenvalue)
-    q = float(radius)
     if a <= 1.0:
         raise NotDilationEigenvalue(f"|eigenvalue| must exceed 1, got {a:.6g}")
     if size < 1:
         raise ValueError("block size must be positive")
-    halves = []
-    for k in range(1, size + 1):
-        if k == 1:
-            halves.append(q / (a - 1.0))
-        elif abs(a - 2.0) <= EQUAL_TWO_TOL:
-            halves.append(q * k)
-        else:
-            halves.append(q / (a - 2.0) * (1.0 - (a - 1.0) ** -k))
-    return tuple(halves)
+    halves = [0.0]
+    for _ in range(size):
+        halves.append((radius + halves[-1]) / (a - 1.0))
+    return tuple(halves[1:])
 
 
 def jordan_recurrence_table(
@@ -261,37 +254,24 @@ def jordan_recurrence_table(
     n_max: int,
 ) -> np.ndarray:
     """Finite-level table A[n, k] of per-coordinate support radii for one
-    Jordan block, seeded by the explicit first row and first column and
-    filled with A_{n,k} = (Q + A_{n-1,k} + A_{n,k-1}) / a.
+    Jordan block: A_{n,k} = (Q + A_{n-1,k} + A_{n,k-1}) / a from
+    A_{0,k} = R and A_{n,0} = 0.
 
     Row indices are levels 1..n_max, columns coordinates 1..size; row
-    n -> infinity converges to :func:`jordan_block_bound`.
+    n -> infinity converges to :func:`jordan_block_bound`, the recurrence's
+    fixed point.
     """
     a = abs(eigenvalue)
     if a <= 1.0:
         raise NotDilationEigenvalue(f"|eigenvalue| must exceed 1, got {a:.6g}")
     if size < 1 or n_max < 1:
         raise ValueError("size and n_max must be positive")
-    q, r = radius, initial_radius
-    table = np.zeros((n_max, size))
-    # first column: A_{n,1} = R a^-n + Q (a^-1 + ... + a^-n)
-    power = 1.0
-    geometric = 0.0
+    table = np.zeros((n_max + 1, size + 1))
+    table[0, 1:] = initial_radius
     for n in range(1, n_max + 1):
-        power /= a
-        geometric += power
-        table[n - 1, 0] = r * power + q * geometric
-    # first row: A_{1,k} = (Q + R)(a^-1 + ... + a^-k)
-    geometric = 0.0
-    power = 1.0
-    for k in range(1, size + 1):
-        power /= a
-        geometric += power
-        table[0, k - 1] = (q + r) * geometric
-    for n in range(2, n_max + 1):
-        for k in range(2, size + 1):
-            table[n - 1, k - 1] = (q + table[n - 2, k - 1] + table[n - 1, k - 2]) / a
-    return table
+        for k in range(1, size + 1):
+            table[n, k] = (radius + table[n - 1, k] + table[n, k - 1]) / a
+    return table[1:, 1:]
 
 
 @per_problem

@@ -34,7 +34,6 @@ from .errors import (
     EmptyMask,
     IllConditionedTransform,
     MaskSumViolation,
-    NonUniqueValues,
     NormNotContractive,
     NotDilation,
     ParseError,
@@ -264,14 +263,12 @@ def _cmd_values(args) -> int:
 def _cmd_refine(args) -> int:
     problem = _load_problem(args.problem)
     _require_range("--levels", args.levels, 1, LEVEL_CAP)
-    _, notes, values = pointwise_mod.resolve_values(problem, args.left_closed)
-    if values is None:
-        raise NonUniqueValues(
-            "transfer eigenspace is not one-dimensional; rerun with --left-closed"
-        )
+    result, notes, values = pointwise_mod.resolve_values(problem, args.left_closed)
+    # without the tie-break, the eigenspace's own values refuse a larger one
+    level0 = result.values if values is None else values
     for note in notes:
         print(f"warning: NonUnique: {note}")
-    table = pointwise_mod.refine_values(problem, values, args.levels)
+    table = pointwise_mod.refine_values(problem, level0, args.levels)
     outdir = Path(args.outdir)
     stem = Path(args.problem).stem
     for i, (level, sampled) in enumerate(sorted(table.samples.items())):

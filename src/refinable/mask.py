@@ -331,9 +331,9 @@ def _coset_representatives(matrix: DilationMatrix) -> np.ndarray:
     cosets of those, and so on down to e_1, where t_i = |H_ii|
     (:func:`_hermite_diagonal`): the box 0 <= r_i < t_i holds one point of
     each of the m classes.  Each r moves into M [0,1)^d as
-    p = M frac(M^-1 r) = M u / m in integers, where u = s adj(M) r mod m,
-    with s the sign of det M, is r's residue key
-    (:meth:`DilationMatrix.residues`) up to that sign.
+    p = M frac(M^-1 r) = M u / m in integers, where u = s adj(M) r mod m
+    is r's residue key (:meth:`DilationMatrix.residues`) times s, the sign
+    of det M.
     """
     m = matrix.m
     rows = matrix.matrix.rows
@@ -345,10 +345,8 @@ def _coset_representatives(matrix: DilationMatrix) -> np.ndarray:
             f"{m} residue classes exceed the cap of {_ENUMERATION_CAP}"
         )
     sign = 1 if matrix.determinant > 0 else -1
-    # with both factors below m <= the cap, the key's products fit in int64
-    adj = [[sign * x % m for x in row] for row in matrix.adjugate.rows]
     box = np.indices(_hermite_diagonal(rows), dtype=np.int64).reshape(matrix.dim, -1).T
-    keys = box @ np.asarray(adj, dtype=np.int64).T % m
+    keys = sign * matrix.residues(1, box) % m
     reps = keys @ np.asarray(rows, dtype=np.int64).T // m
     return reps[np.lexsort(reps.T[::-1])]
 

@@ -34,6 +34,7 @@ from .errors import (
     IndexOverflow,
     NoLeftClosedLimit,
     NonFiniteArithmetic,
+    NonUniqueValues,
     NonUniqueWarning,
     NormalizationImpossible,
     NoUnitEigenvalue,
@@ -134,6 +135,23 @@ def _locate(rows: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return _search(*_hull_keys(rows, queries))
 
 
+def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation that sorts the ``(n, d)`` rows lexicographically, by
+    one stable argsort per column from the last column to the first, and a
+    mask of the sorted rows that differ from the row before them (the first
+    row included).  Needs no int64 key, so any hull of rows may be given."""
+    order = np.arange(len(rows))
+    for i in range(rows.shape[1] - 1, -1, -1):
+        order = order.take(np.argsort(rows[:, i].take(order), kind="stable"))
+    same = np.ones(max(len(rows) - 1, 0), dtype=bool)
+    for i in range(rows.shape[1]):
+        column = rows[:, i].take(order)
+        same &= column[1:] == column[:-1]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = ~same
+    return order, starts
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     """The matrix m (c_{M k_i - k_j}) over distinct ``(N, d)`` int64 rows."""
@@ -222,9 +240,12 @@ class IntegerValues:
 
     @cached_property
     def values(self) -> SampledFunction:
+        """The level-0 function; refused with NonUniqueValues when the
+        eigenspace is not one-dimensional, where only a tie-break such as
+        :func:`converged_integer_values` picks one."""
         if self.eigenspace_dimension != 1:
-            raise ValueError(
-                "eigenspace is not one-dimensional; no canonical values"
+            raise NonUniqueValues(
+                "transfer eigenspace is not one-dimensional; rerun with --left-closed"
             )
         return SampledFunction(0, self.points, self.basis[0])
 
@@ -514,11 +535,12 @@ def periodization_check(
     keys = problem.matrix.residues(
         level, np.concatenate([stored.indices, kx.astype(np.int64)])
     )
-    classes, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    order, starts = _row_runs(keys)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
     n = len(stored.indices)
     # bincount adds each class's values in stored order, starting from 0.0
-    sums = np.bincount(inverse[:n], weights=stored.values, minlength=len(classes))
+    sums = np.bincount(inverse[:n], weights=stored.values, minlength=np.count_nonzero(starts))
     totals = sums[inverse[n:]].tolist()
     probes = map(tuple, x.tolist())
     return tuple((probe, total, abs(total - 1.0)) for probe, total in zip(probes, totals))
@@ -555,9 +577,10 @@ def read_values(stream: IO[str]) -> ValueTable:
     for level in np.unique(levels).tolist():
         at_level = levels == level
         indices = index_rows[at_level]
-        order = np.lexsort(indices.T[::-1])
-        indices = indices[order]
-        if np.any(np.all(indices[1:] == indices[:-1], axis=1)):
+        order, starts = _row_runs(indices)
+        if not starts.all():
             raise ValueError(f"level {level} repeats an index")
-        samples[level] = SampledFunction(level, indices, value_col[at_level][order])
+        samples[level] = SampledFunction(
+            level, indices.take(order, axis=0), value_col[at_level][order]
+        )
     return ValueTable(samples)

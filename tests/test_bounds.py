@@ -2,9 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refinable import (
     Ball,
@@ -186,6 +189,46 @@ class TestJordanBlockBound:
             assert all(a < b for a, b in zip(values, values[1:]))
             bigger = jordan_block_bound(lam, 5, 2.0)
             assert all(a < b for a, b in zip(values, bigger))
+
+
+def exact_block_sums(a: float, size: int, q: float) -> list[Fraction]:
+    """Q sum_{i=1..k} (a-1)^-i for k = 1..size, in exact rationals."""
+    step = 1 / (Fraction(a) - 1)
+    return [Fraction(q) * sum(step**i for i in range(1, k + 1)) for k in range(1, size + 1)]
+
+
+class TestJordanBlockFixedPoint:
+    def test_near_two_within_rounding_of_exact_sum(self):
+        # the closed form Q/(a-2) (1 - (a-1)^-k) cancels near a = 2; a bound
+        # short of the true half-width by more than the 1e-9 membership
+        # tolerance could cut off part of the support
+        for a in (2.0 - 1e-9, 2.0 + 1e-9):
+            for q in (1.0, 2.5, 0.3):
+                exact = exact_block_sums(a, 4, q)
+                for value, true in zip(jordan_block_bound(a, 4, q), exact):
+                    assert abs(Fraction(value) - true) <= Fraction(1e-15) * true
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.floats(1.0, 8.0, exclude_min=True), st.integers(1, 6), st.floats(1e-6, 10.0))
+    def test_block_bound_is_the_exact_sum(self, a, size, q):
+        exact = exact_block_sums(a, size, q)
+        for k, (value, true) in enumerate(zip(jordan_block_bound(a, size, q), exact), 1):
+            # k additions and k divisions, each off by at most half an ulp
+            assert abs(Fraction(value) - true) <= Fraction(2 * k, 2**53) * true
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(1.0 + 1 / 64, 8.0), st.integers(1, 6), st.floats(1e-6, 10.0))
+    def test_table_columns_increase_to_the_block_bound(self, a, size, q):
+        # column k trails its limit by about n^(k-1) a^-n; a nearer 1 would
+        # need more levels than a test should spend
+        levels = 1
+        while math.comb(levels + size, size) * a**-levels > 1e-15:
+            levels *= 2
+        table = jordan_recurrence_table(a, size, q, 0.0, levels)
+        limits = np.array(jordan_block_bound(a, size, q))
+        assert np.all(table[1:] >= table[:-1])
+        assert np.all(table <= limits * (1.0 + 1e-12))
+        assert table[-1] == pytest.approx(limits, rel=1e-12)
 
 
 class TestJordanRecurrenceTable:

@@ -29,13 +29,6 @@ SORTS = {"unique", "sort", "sorted", "argsort", "lexsort"}
 ALLOWED = {
     ("pointwise.py", "periodization_check", "max"):
         "probe rows, a handful per call, not a lattice level",
-    ("pointwise.py", "periodization_check", "unique"):
-        "residue rows grouped once per call; row-major keys of their hull "
-        "need not fit in int64",
-    ("pointwise.py", "read_values", "lexsort"):
-        "rows parsed from a file may span a hull too wide for int64 keys",
-    ("pointwise.py", "read_values", "all"):
-        "rows parsed from a file may span a hull too wide for int64 keys",
     ("bounds.py", "_row_norms", "norm"):
         "rows of eight or more coordinates, whose pairwise sum numpy defines",
 }

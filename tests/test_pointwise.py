@@ -24,6 +24,7 @@ from refinable import (
 )
 from refinable.errors import (
     DomainTooSmall,
+    NonUniqueValues,
     NonUniqueWarning,
     NormalizationImpossible,
     NoUnitEigenvalue,
@@ -163,7 +164,7 @@ class TestIntegerValues:
         with pytest.warns(NonUniqueWarning):
             result = integer_values(transfer)
         assert result.eigenspace_dimension == 2
-        with pytest.raises(ValueError, match="not one-dimensional"):
+        with pytest.raises(NonUniqueValues, match="not one-dimensional"):
             result.values
         # the eigenspace is spanned by spikes at 0 and 1
         span = result.basis
