@@ -51,7 +51,7 @@ def main() -> None:
     for n in (1, 2, 5, 10, 40):
         row = ", ".join(f"{x:.8f}" for x in table[n - 1])
         print(f"    level {n:2d}: {row}")
-    print("  at eigenvalue exactly 2 the closed form degenerates to Q*k:")
+    print("  at eigenvalue exactly 2 each step of the recurrence is exact, so h_k = Q*k:")
     print("   ", jordan_block_bound(2.0, 3, 1.0))
 
 

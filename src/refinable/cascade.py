@@ -283,8 +283,7 @@ def empirical_support(
     keep = np.abs(sampled.values) > eps
     if not np.any(keep):
         return None
-    inv_power = problem.matrix.inverse_power_array(sampled.level)
-    coords = np.compress(keep, sampled.indices, axis=0).astype(float) @ inv_power.T
+    coords = problem.matrix.coordinates(sampled.indices[keep], sampled.level)
     columns = [coords[:, i] for i in range(problem.dim)]
     return RealBox(
         tuple(float(c.min()) for c in columns),
@@ -439,8 +438,8 @@ def write_rows(
     """Write ``(level, indices, values)`` blocks as delimited rows (level,
     index, coordinates, value) under a mandatory header.
 
-    The coordinates of a level are x = k (M^-n)^T, computed once for the
-    whole level; floats use shortest round-trip formatting.  Rows are
+    The coordinates x of a level come from one :meth:`DilationMatrix.coordinates`
+    call; floats use shortest round-trip formatting.  Rows are
     written a chunk at a time, so no level's text is held in memory at once;
     each column of a chunk, or the heads of its runs of equal cells, is
     formatted in one call and the chunk's cells are joined in one
@@ -449,7 +448,7 @@ def write_rows(
     stream.write(sample_header(matrix.dim) + "\n")
     for level, indices, values in levels:
         indices = np.asarray(indices, dtype=np.int64)
-        coords = indices.astype(float) @ matrix.inverse_power_array(level).T
+        coords = matrix.coordinates(indices, level)
         columns = [*indices.T, *coords.T, np.asarray(values, dtype=np.float64)]
         for start in range(0, len(values), _WRITE_CHUNK):
             part = slice(start, start + _WRITE_CHUNK)

@@ -30,24 +30,14 @@ from . import checks as checks_mod
 from . import pointwise as pointwise_mod
 from .errors import (
     ComplexSpectrum,
-    DimensionMismatch,
-    EmptyMask,
     IllConditionedTransform,
-    MaskSumViolation,
+    InputError,
+    NonUniqueValues,
     NormNotContractive,
-    NotDilation,
     ParseError,
     RefinableError,
 )
 from .mask import Problem, coset_sum_report, parse_problem
-
-_INPUT_ERRORS = (
-    ParseError,
-    DimensionMismatch,
-    NotDilation,
-    MaskSumViolation,
-    EmptyMask,
-)
 
 LEVEL_CAP = cascade_mod.DEFAULT_LEVEL_CAP
 
@@ -264,8 +254,11 @@ def _cmd_refine(args) -> int:
     problem = _load_problem(args.problem)
     _require_range("--levels", args.levels, 1, LEVEL_CAP)
     result, notes, values = pointwise_mod.resolve_values(problem, args.left_closed)
-    # without the tie-break, the eigenspace's own values refuse a larger one
-    level0 = result.values if values is None else values
+    try:
+        # without the tie-break, the eigenspace's own values refuse a larger one
+        level0 = result.values if values is None else values
+    except NonUniqueValues as exc:
+        raise NonUniqueValues(f"{exc}; rerun with --left-closed") from None
     for note in notes:
         print(f"warning: NonUnique: {note}")
     table = pointwise_mod.refine_values(problem, level0, args.levels)
@@ -367,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except RefinableError as exc:

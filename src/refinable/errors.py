@@ -29,24 +29,29 @@ class IllConditionedTransform(RefinableError):
 
 # --- problem ingestion -------------------------------------------------------
 
-class ParseError(RefinableError):
+class InputError(RefinableError):
+    """Base class of the errors that reject the input itself; the command
+    line exits 2 on these and 3 on every other RefinableError."""
+
+
+class ParseError(InputError):
     """The problem document is malformed."""
 
 
-class DimensionMismatch(RefinableError):
+class DimensionMismatch(InputError):
     """Matrix, mask indices, and the declared dimension disagree."""
 
 
-class NotDilation(RefinableError):
+class NotDilation(InputError):
     """The matrix is not a dilation matrix (singular, or some eigenvalue
     modulus is not above one)."""
 
 
-class MaskSumViolation(RefinableError):
+class MaskSumViolation(InputError):
     """The mask coefficients do not sum to one."""
 
 
-class EmptyMask(RefinableError):
+class EmptyMask(InputError):
     """The mask has no nonzero coefficient."""
 
 
@@ -97,8 +102,8 @@ class NoLeftClosedLimit(RefinableError):
 
 
 class NormalizationImpossible(RefinableError):
-    """The unit eigenvector has (near) zero entry sum and cannot be scaled
-    to a partition of unity."""
+    """The unit eigenvector or the left-closed selection has (near) zero
+    entry sum and cannot be scaled to a partition of unity."""
 
 
 class EnumerationTooLarge(RefinableError):

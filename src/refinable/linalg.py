@@ -301,9 +301,10 @@ def _roots_of_squarefree(coeffs: list[int]) -> list[complex]:
 
     Every float is a correctly rounded int quotient: the coefficients of the
     monic polynomial as ``c / lead``, its derivative as ``c (n - i) / lead``.
-    Near-integer roots are confirmed by exact evaluation and snapped, so
-    integer eigenvalues come out exactly (for a monic integer polynomial
-    every rational root is an integer).
+    A root within ``REALNESS_RTOL`` of the real axis is real: snapped to an
+    integer that exact evaluation confirms, so integer eigenvalues come out
+    exactly (every rational root of a monic integer polynomial is an
+    integer), and otherwise stripped of its imaginary part.
     """
     lead = coeffs[0]
     n = len(coeffs) - 1
@@ -339,10 +340,12 @@ def _roots_of_squarefree(coeffs: list[int]) -> list[complex]:
                 raise RootFindingFailure(
                     f"Newton polish did not converge within {NEWTON_MAX_ITER} iterations"
                 )
-        if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
+        if abs(z.imag) <= REALNESS_RTOL * max(1.0, abs(z)):
             nearest = round(z.real)
             if abs(z.real - nearest) <= 1e-6 * max(1.0, abs(z)) and _is_root(coeffs, nearest):
                 z = complex(float(nearest))
+            else:
+                z = complex(z.real, 0.0)
         roots.append(z)
     return roots
 
@@ -365,16 +368,8 @@ def _spectrum(coeffs: Sequence[int]) -> Spectrum:
         raise NonFiniteArithmetic(
             f"characteristic polynomial beyond float range: {exc}"
         ) from exc
-    realified = []
-    all_real = True
-    for z in values:
-        if abs(z.imag) <= REALNESS_RTOL * max(1.0, abs(z)):
-            realified.append(complex(z.real, 0.0))
-        else:
-            realified.append(z)
-            all_real = False
-    realified.sort(key=lambda z: (-z.real, -z.imag))
-    return Spectrum(tuple(realified), all_real)
+    values.sort(key=lambda z: (-z.real, -z.imag))
+    return Spectrum(tuple(values), all(z.imag == 0 for z in values))
 
 
 def _spectrum_verdict(spec: Spectrum) -> DilationCheck:
@@ -656,6 +651,11 @@ class DilationMatrix:
             array.flags.writeable = False
             self._inverse_arrays[n] = array
         return self._inverse_arrays[n]
+
+    def coordinates(self, indices: np.ndarray, n: int) -> np.ndarray:
+        """The points x = k (M^-n)^T of the level-n indices k, the rows of
+        ``indices``; the library's one coordinate formula."""
+        return np.asarray(indices, dtype=float) @ self.inverse_power_array(n).T
 
     def residues(self, n: int, indices: np.ndarray) -> np.ndarray:
         """Residue classes of the integer rows ``indices`` modulo M^n Z^d.

@@ -95,7 +95,7 @@ def lattice_points_in_bound(
         *[np.arange(-h, h + 1, dtype=np.int64) for h in halves], indexing="ij"
     )
     points = np.stack([g.reshape(-1) for g in grids], axis=1)
-    coords = points.astype(float) @ problem.matrix.inverse_power_array(level).T
+    coords = problem.matrix.coordinates(points, level)
     return np.compress(bound.contains_many(coords), points, axis=0)
 
 
@@ -244,9 +244,7 @@ class IntegerValues:
         eigenspace is not one-dimensional, where only a tie-break such as
         :func:`converged_integer_values` picks one."""
         if self.eigenspace_dimension != 1:
-            raise NonUniqueValues(
-                "transfer eigenspace is not one-dimensional; rerun with --left-closed"
-            )
+            raise NonUniqueValues("transfer eigenspace is not one-dimensional")
         return SampledFunction(0, self.points, self.basis[0])
 
 
@@ -285,16 +283,22 @@ def integer_values(transfer: TransferMatrix) -> IntegerValues:
     basis = right[::-1].copy()
     zeros = transfer.points[:0]
     if dimension == 1:
-        vec = basis[0]
-        total = float(vec.sum())
-        if abs(total) <= 1e-12 * float(np.abs(vec).max()):
-            raise NormalizationImpossible("unit eigenvector has entry sum within 1e-12 of zero")
-        vec /= total
-        zeros = np.compress(np.abs(vec) <= STRUCTURAL_ZERO_TOL, transfer.points, axis=0)
+        basis[0] = _sum_to_one(basis[0], "unit eigenvector")
+        zeros = np.compress(np.abs(basis[0]) <= STRUCTURAL_ZERO_TOL, transfer.points, axis=0)
     else:
         warnings.warn(_non_unique(dimension), NonUniqueWarning, stacklevel=2)
     radius = float(np.abs(eigs).max())
     return IntegerValues(transfer.points, basis, dimension, zeros, left, radius)
+
+
+def _sum_to_one(vector: np.ndarray, what: str) -> np.ndarray:
+    """``vector`` divided by its entry sum, refused with
+    NormalizationImpossible when that sum is within 1e-12 of zero relative
+    to the largest entry magnitude; ``what`` names the vector."""
+    total = vector.sum()
+    if abs(total) <= 1e-12 * np.abs(vector).max():
+        raise NormalizationImpossible(f"{what} has entry sum within 1e-12 of zero")
+    return vector / total
 
 
 def _non_unique(dimension: int) -> str:
@@ -362,10 +366,7 @@ def converged_integer_values(problem: Problem) -> SampledFunction:
         )
     spike = _on_candidates(result.points, initial_samples(problem))
     projected = right.T @ np.linalg.solve(gram, left @ spike)
-    total = projected.sum()
-    if abs(total) <= 1e-12:
-        raise NormalizationImpossible("left-closed selection has zero sum")
-    return SampledFunction(0, result.points, projected / total)
+    return SampledFunction(0, result.points, _sum_to_one(projected, "left-closed selection"))
 
 
 def resolve_values(
@@ -477,8 +478,7 @@ def refine_values(
     for level in range(1, levels + 1):
         _refuse_scatter(problem, len(indices), level, "refinement")
         indices, values = refinement_step(problem, indices, values, level)
-        coords = indices.astype(float) @ problem.matrix.inverse_power_array(level).T
-        inside = bound.contains_many(coords)
+        inside = bound.contains_many(problem.matrix.coordinates(indices, level))
         escaped = np.abs(values[~inside])
         floor = _ESCAPE_RTOL * max(1.0, float(np.abs(values).max(initial=0.0)))
         if escaped.size and float(escaped.max()) > floor:

@@ -8,6 +8,7 @@ a raw rational mask summing to one or a digit-set mask: 1/m on a complete
 residue set of Z^d / M Z^d, optionally convolved with itself.
 """
 
+import inspect
 import io
 import itertools
 import json
@@ -23,9 +24,9 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from refinable import cli, parse_problem
+from refinable import cli, errors, parse_problem
 from refinable.bounds import best_bound
-from refinable.errors import ParseError, RefinableError
+from refinable.errors import InputError, ParseError, RefinableError
 from refinable.pointwise import _enumeration_halves
 
 # level-0 enumeration boxes above this many points give candidate sets whose
@@ -401,3 +402,32 @@ def test_bundled_command_matrix_keeps_the_error_contract(name, tmp_path):
         else:
             assert (code, err) == (0, ""), (argv, err)
     assert len(refused) == (0 if name == "daubechies4" else 1)
+
+
+ERROR_CLASSES = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, RefinableError)
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_class(cls, monkeypatch):
+    """Exit 2 exactly for the InputError family, 3 for every other library
+    error, with one ``error: <Code>:`` line either way."""
+
+    def load(path):
+        raise cls("refused")
+
+    monkeypatch.setattr(cli, "_load_problem", load)
+    code, out, err = run_main(["analyze", "problem.json"])
+    assert code == (2 if issubclass(cls, InputError) else 3)
+    assert (out, err) == ("", f"error: {cls.__name__}: refused\n")
+
+
+def test_input_errors_are_the_ingestion_family():
+    names = {cls.__name__ for cls in ERROR_CLASSES if issubclass(cls, InputError)}
+    assert names == {
+        "InputError", "ParseError", "DimensionMismatch", "NotDilation",
+        "MaskSumViolation", "EmptyMask",
+    }
+

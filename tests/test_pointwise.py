@@ -29,6 +29,7 @@ from refinable.errors import (
     NormalizationImpossible,
     NoUnitEigenvalue,
 )
+from refinable.pointwise import _sum_to_one
 
 from oracle import seed_from
 
@@ -164,8 +165,9 @@ class TestIntegerValues:
         with pytest.warns(NonUniqueWarning):
             result = integer_values(transfer)
         assert result.eigenspace_dimension == 2
-        with pytest.raises(NonUniqueValues, match="not one-dimensional"):
+        with pytest.raises(NonUniqueValues, match="not one-dimensional") as info:
             result.values
+        assert "--" not in str(info.value)  # a library caller has no CLI option
         # the eigenspace is spanned by spikes at 0 and 1
         span = result.basis
         for vec in span:
@@ -180,6 +182,17 @@ class TestIntegerValues:
         transfer = TransferMatrix(np.array([[0], [1]]), np.array([[0.0, -1.0], [-1.0, 0.0]]))
         with pytest.raises(NormalizationImpossible):
             integer_values(transfer)
+
+    def test_sum_to_one_is_relative_to_the_entries(self):
+        # the sum 4e-13 is below the former absolute 1e-12 floor of the
+        # left-closed path, but far from zero next to entries near 1e-13
+        vector = np.array([1e-13, 2e-13, 1e-13])
+        assert np.array_equal(_sum_to_one(vector, "v"), vector / vector.sum())
+        assert math.isclose(_sum_to_one(vector, "v").sum(), 1.0)
+
+    def test_sum_to_one_refuses_a_zero_sum(self):
+        with pytest.raises(NormalizationImpossible, match="^v has entry sum"):
+            _sum_to_one(np.array([1.0, -1.0, 0.0]), "v")
 
     def test_converged_iteration_matches_eigenvector(self, d4_problem):
         converged = converged_integer_values(d4_problem).as_dict()

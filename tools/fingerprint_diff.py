@@ -1,4 +1,4 @@
-"""Compare the CLI fingerprints of two revisions.
+"""Compare the CLI fingerprints and demo outputs of two revisions.
 
 Usage (from anywhere inside a checkout)::
 
@@ -7,15 +7,22 @@ Usage (from anywhere inside a checkout)::
 Runs ``bench/fingerprint.py`` in a ``git archive`` copy of the revision
 BASE and in CHANGE, a second revision exported the same way or, by default,
 the working tree.  Prints every command whose output differs, with the two
-digests, and exits 1 on any difference and 0 when every command prints the
-same bytes.  The closing ``all`` line only hashes the others and is not
+digests.  The closing ``all`` line only hashes the others and is not
 compared.  A command that only one side runs counts as a difference.
+
+Then runs the four demos of each tree against that tree's ``src/``, each in
+a fresh temporary working directory (demo 03 writes its dumps there), and
+prints the differing lines of every demo whose exit code, stdout or stderr
+differs; a demo that only one side has counts as a difference too.  Exits 1
+on any difference and 0 when every command and demo prints the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import io
+import os
 import subprocess
 import sys
 import tarfile
@@ -47,19 +54,61 @@ def fingerprints(checkout: Path) -> dict[str, str]:
     return {command: digest for digest, command in lines if command != "all"}
 
 
+def demo_outputs(checkout: Path) -> dict[str, tuple[str, str, str]]:
+    """The exit code, stdout and stderr of each demo in ``checkout``, run
+    against its ``src/`` in a working directory of its own, keyed by the
+    demo's file name."""
+    paths = [str(checkout / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    outputs = {}
+    for demo in sorted((checkout / "demos").glob("0[1-4]_*.py")):
+        with tempfile.TemporaryDirectory(prefix="fingerprint-demo-") as cwd:
+            proc = subprocess.run(
+                [sys.executable, str(demo)], cwd=cwd, env=env, capture_output=True, text=True,
+            )
+        outputs[demo.name] = (f"exit {proc.returncode}\n", proc.stdout, proc.stderr)
+    return outputs
+
+
+def compare(base: Path, change: Path) -> int:
+    """Print the differences between the two trees; return their count."""
+    base_prints, change_prints = fingerprints(base), fingerprints(change)
+    commands = sorted(base_prints.keys() | change_prints.keys())
+    differ = [c for c in commands if base_prints.get(c) != change_prints.get(c)]
+    for command in differ:
+        print(f"{base_prints.get(command, '-')[:12]} "
+              f"{change_prints.get(command, '-')[:12]}  {command}")
+    print(f"{len(differ)} of {len(commands)} commands differ")
+
+    base_demos, change_demos = demo_outputs(base), demo_outputs(change)
+    demos = sorted(base_demos.keys() | change_demos.keys())
+    differ_demos = [d for d in demos if base_demos.get(d) != change_demos.get(d)]
+    for demo in differ_demos:
+        print(f"demo {demo}:")
+        for stream, old, new in zip(
+            ("exit", "stdout", "stderr"),
+            base_demos.get(demo, ("",) * 3),
+            change_demos.get(demo, ("",) * 3),
+        ):
+            diff = difflib.unified_diff(
+                old.splitlines(), new.splitlines(), f"base {stream}", f"change {stream}",
+                n=0, lineterm="",
+            )
+            for line in diff:
+                print(f"  {line}")
+    print(f"{len(differ_demos)} of {len(demos)} demos differ")
+    return len(differ) + len(differ_demos)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="revision to compare against")
     parser.add_argument("change", nargs="?", help="second revision (default: the working tree)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="fingerprint-diff-") as tmp:
-        base = fingerprints(export(args.base, Path(tmp) / "base"))
-        change = fingerprints(export(args.change, Path(tmp) / "change") if args.change else ROOT)
-    differ = [c for c in sorted(base.keys() | change.keys()) if base.get(c) != change.get(c)]
-    for command in differ:
-        print(f"{base.get(command, '-')[:12]} {change.get(command, '-')[:12]}  {command}")
-    print(f"{len(differ)} of {len(base.keys() | change.keys())} commands differ")
-    return 1 if differ else 0
+        base = export(args.base, Path(tmp) / "base")
+        change = export(args.change, Path(tmp) / "change") if args.change else ROOT
+        return 1 if compare(base, change) else 0
 
 
 if __name__ == "__main__":
