@@ -8,7 +8,8 @@ recurrence
 
 is an exact identity, so no interpolation between lattices ever happens.
 The same kernel drives both the cascade iteration here and the value
-refinement in :mod:`refinable.pointwise`.
+refinement in :mod:`refinable.pointwise`, and this module alone decides how
+a lattice row is keyed (one int64 key space), looked up, merged and dumped.
 """
 
 from __future__ import annotations
@@ -106,11 +107,20 @@ def _float_m(problem: Problem) -> float:
         raise NonFiniteArithmetic("m = |det M| overflows a float") from None
 
 
-def _column_hull(rows: np.ndarray) -> tuple[list[int], list[int]]:
+def _column_hull(rows: np.ndarray) -> tuple[list, list]:
     """Per-coordinate least and greatest entries of nonempty ``(n, d)``
-    rows, as Python ints."""
+    rows, as Python ints for integer rows and floats for float rows."""
     columns = [rows[:, i] for i in range(rows.shape[1])]
-    return [int(c.min()) for c in columns], [int(c.max()) for c in columns]
+    return [c.min().item() for c in columns], [c.max().item() for c in columns]
+
+
+def _key_strides(lo: Sequence[int], hi: Sequence[int], refusal: str) -> list[int]:
+    """Row-major strides of the hull with corners ``lo`` and ``hi``; refused
+    with IndexOverflow(refusal) when its keys would reach 2^63."""
+    widths = [b - a + 1 for a, b in zip(lo, hi)]
+    if math.prod(widths) >= 2**63:
+        raise IndexOverflow(refusal)
+    return [math.prod(widths[i + 1 :]) for i in range(len(widths))]
 
 
 def _row_keys(rows: np.ndarray, lo: Sequence[int], strides: Sequence[int]) -> np.ndarray:
@@ -121,6 +131,56 @@ def _row_keys(rows: np.ndarray, lo: Sequence[int], strides: Sequence[int]) -> np
     for i in range(1, rows.shape[1]):
         keys += (rows[:, i] - lo[i]) * strides[i]
     return keys
+
+
+def _hull_keys(*blocks: np.ndarray) -> list[np.ndarray]:
+    """The int64 keys of the rows of each ``(n, d)`` block: their row-major
+    positions in the common hull of the nonempty blocks, which keep the rows'
+    lexicographic order.  Raises IndexOverflow when that hull's keys do not
+    fit in int64."""
+    hulls = [_column_hull(block) for block in blocks if len(block)]
+    if not hulls:
+        return [np.zeros(0, dtype=np.int64) for _ in blocks]
+    lo = [min(column) for column in zip(*(low for low, _ in hulls))]
+    hi = [max(column) for column in zip(*(high for _, high in hulls))]
+    strides = _key_strides(lo, hi, "lattice index hull does not fit in int64 keys")
+    return [_row_keys(block, lo, strides) for block in blocks]
+
+
+def _search(keys: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the ``probes`` among the sorted distinct ``keys`` by one
+    binary search each, and a mask of the probes found there."""
+    if len(keys) == 0:
+        return np.zeros(len(probes), dtype=np.int64), np.zeros(len(probes), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
+    return pos, keys.take(pos) == probes
+
+
+def _locate(rows: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the ``queries`` among the distinct, lexicographically
+    sorted ``rows``, and a mask of the queries found there.
+
+    Both are keyed in their common hull (:func:`_hull_keys`), so the row
+    keys are already sorted and one binary search per query suffices.
+    """
+    return _search(*_hull_keys(rows, queries))
+
+
+def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation that sorts the ``(n, d)`` rows lexicographically, by
+    one stable argsort per column from the last column to the first, and a
+    mask of the sorted rows that differ from the row before them (the first
+    row included).  Needs no int64 key, so any hull of rows may be given."""
+    order = np.arange(len(rows))
+    for i in range(rows.shape[1] - 1, -1, -1):
+        order = order.take(np.argsort(rows[:, i].take(order), kind="stable"))
+    same = np.ones(max(len(rows) - 1, 0), dtype=bool)
+    for i in range(rows.shape[1]):
+        column = rows[:, i].take(order)
+        same &= column[1:] == column[:-1]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = ~same
+    return order, starts
 
 
 def _merge_runs(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,10 +242,10 @@ def refinement_step(
     high = [max(s[i] for s in shifts) for i in range(d)]
     lo = [a + b for a, b in zip(first, low)]
     hi = [a + b for a, b in zip(last, high)]
-    widths = [b - a + 1 for a, b in zip(lo, hi)]
-    if max(map(abs, lo + hi)) >= _INDEX_LIMIT or math.prod(widths) >= 2**63:
-        raise IndexOverflow(f"level-{step} lattice indices do not fit in int64")
-    strides = [math.prod(widths[i + 1 :]) for i in range(d)]
+    refusal = f"level-{step} lattice indices do not fit in int64"
+    if max(map(abs, lo + hi)) >= _INDEX_LIMIT:
+        raise IndexOverflow(refusal)
+    strides = _key_strides(lo, hi, refusal)
     # key(k + shift) = key of k relative to the input hull + key of the shift
     # relative to the lowest shift; both parts are nonnegative
     offsets = [sum((s[i] - low[i]) * strides[i] for i in range(d)) for s in shifts]
@@ -284,11 +344,7 @@ def empirical_support(
     if not np.any(keep):
         return None
     coords = problem.matrix.coordinates(sampled.indices[keep], sampled.level)
-    columns = [coords[:, i] for i in range(problem.dim)]
-    return RealBox(
-        tuple(float(c.min()) for c in columns),
-        tuple(float(c.max()) for c in columns),
-    )
+    return RealBox(*map(tuple, _column_hull(coords)))
 
 
 def discrete_mass(problem: Problem, sampled: SampledFunction) -> float:

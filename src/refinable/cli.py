@@ -63,10 +63,11 @@ def _load_problem(path: str) -> Problem:
     return parse_problem(text)
 
 
-def _open_dump(path: Path, make_dir: bool):
-    """Open a dump file for writing, first creating its directory when
-    ``make_dir`` is set (once per call, for the first file); a path that
-    cannot be used is refused like an unreadable problem path."""
+def _open_dump(args, level: int, make_dir: bool):
+    """Open level ``level``'s dump in ``--outdir``, named after the problem
+    file, first creating the directory when ``make_dir`` is set (for the first
+    file); a path that cannot be used is refused like an unreadable one."""
+    path = Path(args.outdir) / f"{Path(args.problem).stem}.level{level}.tsv"
     try:
         if make_dir:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -197,11 +198,8 @@ def _cmd_cascade(args) -> int:
     _require_range("--iters", args.iters, 0, LEVEL_CAP)
     _require_range("--eps", args.eps, 0)
     iterates = cascade_mod.run_cascade(problem, levels=args.iters)
-    outdir = Path(args.outdir)
-    stem = Path(args.problem).stem
     for i, sampled in enumerate(iterates):
-        path = outdir / f"{stem}.level{sampled.level}.tsv"
-        with _open_dump(path, i == 0) as handle:
+        with _open_dump(args, sampled.level, i == 0) as handle:
             cascade_mod.write_samples(problem, [sampled], handle)
         box = cascade_mod.empirical_support(problem, sampled, args.eps)
         mass = cascade_mod.discrete_mass(problem, sampled)
@@ -262,14 +260,11 @@ def _cmd_refine(args) -> int:
     for note in notes:
         print(f"warning: NonUnique: {note}")
     table = pointwise_mod.refine_values(problem, level0, args.levels)
-    outdir = Path(args.outdir)
-    stem = Path(args.problem).stem
     for i, (level, sampled) in enumerate(sorted(table.samples.items())):
         single = pointwise_mod.ValueTable({level: sampled})
-        path = outdir / f"{stem}.level{level}.tsv"
-        with _open_dump(path, i == 0) as handle:
+        with _open_dump(args, level, i == 0) as handle:
             pointwise_mod.export_values(problem, single, handle)
-        print(f"level {level}: {len(sampled.values)} lattice points -> {path}")
+        print(f"level {level}: {len(sampled.values)} lattice points -> {handle.name}")
     return 0
 
 

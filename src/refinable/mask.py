@@ -82,15 +82,19 @@ class Mask:
 
     @property
     def support(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.coefficients))
+        return tuple(q for q, _ in self._taps)
 
     @cached_property
     def radius(self) -> float:
         """Largest Euclidean norm over the support indices."""
         return max(math.sqrt(sum(x * x for x in q)) for q in self.coefficients)
 
-    def items_sorted(self) -> list[tuple[tuple[int, ...], float]]:
-        return sorted(self.coefficients.items())
+    @cached_property
+    def _taps(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        return tuple(sorted(self.coefficients.items()))
+
+    def items_sorted(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        return self._taps
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,16 @@ import numpy as np
 
 from .bounds import SupportBound, best_bound, enclosing_integer_box
 from .cascade import (
+    _INDEX_LIMIT,
     SampledFunction,
-    _column_hull,
+    _hull_keys,
+    _locate,
     _refuse_scatter,
-    _row_keys,
+    _row_runs,
+    _search,
     initial_samples,
     refinement_step,
+    sample_header,
     write_rows,
 )
 from .errors import (
@@ -99,59 +103,6 @@ def lattice_points_in_bound(
     return np.compress(bound.contains_many(coords), points, axis=0)
 
 
-def _hull_keys(*blocks: np.ndarray) -> list[np.ndarray]:
-    """The int64 keys of the rows of each ``(n, d)`` block: their row-major
-    positions in the common hull of the nonempty blocks, which keep the rows'
-    lexicographic order.  Raises IndexOverflow when that hull's keys do not
-    fit in int64."""
-    hulls = [_column_hull(block) for block in blocks if len(block)]
-    lo = [min(column) for column in zip(*(low for low, _ in hulls))]
-    hi = [max(column) for column in zip(*(high for _, high in hulls))]
-    widths = [b - a + 1 for a, b in zip(lo, hi)]
-    if math.prod(widths) >= 2**63:
-        raise IndexOverflow("lattice index hull does not fit in int64 keys")
-    strides = [math.prod(widths[i + 1 :]) for i in range(len(widths))]
-    return [_row_keys(block, lo, strides) for block in blocks]
-
-
-def _search(keys: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the ``probes`` among the sorted distinct ``keys`` by one
-    binary search each, and a mask of the probes found there."""
-    if len(keys) == 0:
-        return np.zeros(len(probes), dtype=np.int64), np.zeros(len(probes), dtype=bool)
-    pos = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
-    return pos, keys.take(pos) == probes
-
-
-def _locate(rows: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the ``queries`` among the distinct, lexicographically
-    sorted ``rows``, and a mask of the queries found there.
-
-    Both are keyed in their common hull (:func:`_hull_keys`), so the row
-    keys are already sorted and one binary search per query suffices.
-    """
-    if len(rows) == 0 or len(queries) == 0:
-        return np.zeros(len(queries), dtype=np.int64), np.zeros(len(queries), dtype=bool)
-    return _search(*_hull_keys(rows, queries))
-
-
-def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The permutation that sorts the ``(n, d)`` rows lexicographically, by
-    one stable argsort per column from the last column to the first, and a
-    mask of the sorted rows that differ from the row before them (the first
-    row included).  Needs no int64 key, so any hull of rows may be given."""
-    order = np.arange(len(rows))
-    for i in range(rows.shape[1] - 1, -1, -1):
-        order = order.take(np.argsort(rows[:, i].take(order), kind="stable"))
-    same = np.ones(max(len(rows) - 1, 0), dtype=bool)
-    for i in range(rows.shape[1]):
-        column = rows[:, i].take(order)
-        same &= column[1:] == column[:-1]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = ~same
-    return order, starts
-
-
 @dataclass(frozen=True)
 class TransferMatrix:
     """The matrix m (c_{M k_i - k_j}) over distinct ``(N, d)`` int64 rows."""
@@ -189,7 +140,7 @@ def build_transfer_matrix(problem: Problem, points: np.ndarray) -> TransferMatri
     for q, w in taps:
         if not math.isfinite(w):
             raise NonFiniteArithmetic(f"transfer entry m c_q overflows at q = {list(q)}")
-    if max(abs(x) for q, _ in taps for x in q) >= 2**62:
+    if max(abs(x) for q, _ in taps for x in q) >= _INDEX_LIMIT:
         raise IndexOverflow("mask indices do not fit in int64")
     shifts = np.asarray([q for q, _ in taps], dtype=np.int64).reshape(len(taps), 1, d)
     # the points M k_i - q, tap-major: query t n + i is tap t of point i
@@ -418,7 +369,7 @@ def _images(problem: Problem, rows: np.ndarray) -> np.ndarray:
     matrix = problem.matrix.matrix.rows
     # at least one, so an entry beyond int64 is refused even for k = 0
     largest = max(1, int(np.abs(rows).max(initial=0)))
-    if largest * max(sum(map(abs, r)) for r in matrix) >= 2**62:
+    if largest * max(sum(map(abs, r)) for r in matrix) >= _INDEX_LIMIT:
         raise IndexOverflow("images M k of the stored indices do not fit in int64")
     return rows @ np.asarray(matrix, dtype=np.int64).T
 
@@ -430,8 +381,6 @@ def _with_images(
     among them, which get the value +0.0; still in lexicographic order.
     Rows and images are keyed in their common hull (:func:`_hull_keys`), so
     a stable argsort of the joined keys puts the joined rows in order."""
-    if len(images) == 0:
-        return indices, values
     keys, probes = _hull_keys(indices, images)
     extra = ~_search(keys, probes)[1]
     count = int(np.count_nonzero(extra))
@@ -530,7 +479,7 @@ def periodization_check(
     if off.any():
         probe = tuple(x[int(np.argmax(off))].tolist())
         raise ValueError(f"probe {probe} is not on the level-{level} lattice")
-    if np.any(np.abs(kx) >= 2.0**62):
+    if np.any(np.abs(kx) >= _INDEX_LIMIT):
         raise IndexOverflow(f"level-{level} probe indices do not fit in int64")
     keys = problem.matrix.residues(
         level, np.concatenate([stored.indices, kx.astype(np.int64)])
@@ -561,13 +510,16 @@ def export_values(problem: Problem, table: ValueTable, stream: IO[str]) -> None:
 
 def read_values(stream: IO[str]) -> ValueTable:
     """Parse a delimited dump (an exported ValueTable or cascade samples)
-    into per-level arrays; values round-trip bit-exactly.  A level without
-    rows is absent from the file and so from the table."""
-    fields = stream.readline().rstrip("\n").split("\t")
-    if fields[0] != "level" or fields[-1] != "value":
+    into per-level arrays; values round-trip bit-exactly, and a level without
+    rows is absent.  Raises ValueError unless the header is
+    :func:`sample_header` of some d and every row has its 2d + 2 fields."""
+    header = stream.readline().rstrip("\n")
+    dim = (header.count("\t") - 1) // 2
+    if header != sample_header(dim):
         raise ValueError("missing or malformed header row")
-    dim = (len(fields) - 2) // 2
     rows = [line.split("\t") for line in stream.read().splitlines() if line]
+    if any(len(parts) != 2 * dim + 2 for parts in rows):
+        raise ValueError(f"a row does not have the header's {2 * dim + 2} fields")
     levels = np.array([int(parts[0]) for parts in rows], dtype=np.int64)
     index_rows = np.array(
         [[int(x) for x in parts[1 : 1 + dim]] for parts in rows], dtype=np.int64

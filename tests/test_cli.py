@@ -213,6 +213,14 @@ class TestCascadeCommand:
         result = run_cli("cascade", haar_doc, "--iters", 40)
         assert result.returncode == 2
 
+    def test_support_above_every_sample_is_empty(self, haar_doc, tmp_path):
+        result = run_cli("cascade", haar_doc, "--iters", 2, "--eps", 1e300,
+                         "--outdir", tmp_path)
+        assert result.returncode == 0
+        lines = result.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["level 0", "level 1", "level 2"]
+        assert all(line.endswith(", support empty") for line in lines)
+
 
 class TestRefineCommand:
     def test_d4_refine(self, d4_doc, tmp_path):
@@ -238,6 +246,11 @@ class TestCheckCommand:
         result = run_cli("check", doc)
         assert result.returncode == 0
         assert "FAIL" not in result.stdout
+
+    def test_containment_passes_with_no_samples_above_eps(self, haar_doc):
+        result = run_cli("check", haar_doc, "--eps", 1e300)
+        assert result.returncode == 0
+        assert "PASS cascade-containment (no samples above eps)" in result.stdout.splitlines()
 
 
 class TestErrorPaths:

@@ -193,6 +193,16 @@ class TestRadius:
         assert r1 == r2
 
 
+def test_taps_are_sorted_once():
+    # the kernel, the transfer assembly and the bounds read the taps on every
+    # call; they share one sorted tuple, and the support is its keys
+    mask = Mask(2, {(1, 0): 0.25, (0, 1): 0.25, (0, 0): 0.5})
+    taps = mask.items_sorted()
+    assert taps == (((0, 0), 0.5), ((0, 1), 0.25), ((1, 0), 0.25))
+    assert mask.items_sorted() is taps
+    assert mask.support == ((0, 0), (0, 1), (1, 0))
+
+
 class TestCosetSums:
     def test_haar(self, haar_problem):
         report = coset_sum_report(haar_problem)

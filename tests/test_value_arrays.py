@@ -257,6 +257,22 @@ def test_read_rejects_non_finite_values(text):
         read_values(io.StringIO(header + f"0\t0\t0.0\t{text}\n"))
 
 
+@pytest.mark.parametrize(
+    ("text", "match"),
+    [
+        # d = 1.5 columns: read as d = 1, the x0 cell 0.5 was taken for the value
+        ("level\tk0\tk1\tx0\tvalue\n0\t1\t2\t0.5\t0.25\n", "header"),
+        ("level\tfoo\tbar\tvalue\n0\t1\t0.5\t0.25\n", "header"),
+        ("level\tk0\tk1\tx0\tx1\tvalue\n0\t1\t2\t0.5\n", "6 fields"),
+        ("level\tk0\tx0\tvalue\n0\t1\t0.5\t0.25\t9\n", "4 fields"),
+    ],
+    ids=["half-a-dimension", "foreign-names", "short-row", "long-row"],
+)
+def test_read_refuses_any_layout_but_the_writers(text, match):
+    with pytest.raises(ValueError, match=match):
+        read_values(io.StringIO(text))
+
+
 class TestSampledFunction:
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError, match="level must be nonnegative"):

@@ -13,8 +13,17 @@ compared.  A command that only one side runs counts as a difference.
 Then runs the four demos of each tree against that tree's ``src/``, each in
 a fresh temporary working directory (demo 03 writes its dumps there), and
 prints the differing lines of every demo whose exit code, stdout or stderr
-differs; a demo that only one side has counts as a difference too.  Exits 1
-on any difference and 0 when every command and demo prints the same bytes.
+differs; a demo that only one side has counts as a difference too.
+
+Last, runs every operation of the benchmark's ``many-small`` workload for
+seeds 17 and 1 in each tree: the documents come from that tree's
+``bench/workloads.py`` and each operation goes through that tree's
+``refinable.cli.main``, with dumps in a temporary work directory.  The bundled
+problems never reach d = 3, a size-2 Jordan block or the iterated-norm ball;
+these do.  Prints every operation whose exit outcome, stdout, stderr or dump
+bytes differ once the work directory is masked out.  Exits 1 on any
+difference and 0 when every command, demo and operation prints the same
+bytes.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -70,6 +80,48 @@ def demo_outputs(checkout: Path) -> dict[str, tuple[str, str, str]]:
     return outputs
 
 
+def many_small_worker(work: str) -> None:
+    """Print, as one JSON object, the masked outcome, stdout, stderr and
+    dumps of every ``many-small`` operation for seeds 17 and 1, keyed by
+    seed, problem and command.  Runs with the checkout's ``bench/`` as the
+    working directory, so that its modules are the ones imported."""
+    import prepare
+    import run
+
+    refinable = prepare.import_refinable()
+    outputs = {}
+    for seed in (17, 1):
+        workdir = Path(work) / f"seed{seed}"
+        problems, paths, _ = prepare.prepare(refinable, "many-small", seed, workdir)
+        for problem, path in zip(problems, paths):
+            for i, template in enumerate(problem.ops):
+                outdir = workdir / "out" / problem.name / f"{i}-{template[0]}"
+                argv = [a.replace("{doc}", str(path)).replace("{out}", str(outdir))
+                        for a in template]
+                res = run.run_op(refinable.cli, (problem.name, i), argv, outdir)
+                parts = {"outcome": res.outcome, "stdout": res.stdout, "stderr": res.stderr}
+                if outdir.is_dir():
+                    parts.update((f"dump {f.name}", f.read_text()) for f in sorted(outdir.iterdir()))
+                key = f"seed {seed} {problem.name}: {' '.join(template)}"
+                outputs[key] = {name: text.replace(work, "{work}") for name, text in parts.items()}
+    print(json.dumps(outputs))
+
+
+def many_small_outputs(checkout: Path) -> dict[str, dict[str, str]]:
+    """:func:`many_small_worker`'s records for ``checkout``, run in a fresh
+    interpreter that imports that checkout's ``bench/`` and ``src/`` only."""
+    script = (
+        f"import sys; sys.path[:0] = [{str(Path(__file__).parent)!r}]; "
+        "from fingerprint_diff import many_small_worker; many_small_worker(sys.argv[1])"
+    )
+    with tempfile.TemporaryDirectory(prefix="fingerprint-many-small-") as work:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, work],
+            cwd=checkout / "bench", check=True, capture_output=True, text=True,
+        )
+    return json.loads(proc.stdout)
+
+
 def compare(base: Path, change: Path) -> int:
     """Print the differences between the two trees; return their count."""
     base_prints, change_prints = fingerprints(base), fingerprints(change)
@@ -97,7 +149,16 @@ def compare(base: Path, change: Path) -> int:
             for line in diff:
                 print(f"  {line}")
     print(f"{len(differ_demos)} of {len(demos)} demos differ")
-    return len(differ) + len(differ_demos)
+
+    base_ops, change_ops = many_small_outputs(base), many_small_outputs(change)
+    ops = sorted(base_ops.keys() | change_ops.keys())
+    differ_ops = [op for op in ops if base_ops.get(op) != change_ops.get(op)]
+    for op in differ_ops:
+        old, new = base_ops.get(op, {}), change_ops.get(op, {})
+        parts = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+        print(f"{op}: {', '.join(parts)}")
+    print(f"{len(differ_ops)} of {len(ops)} many-small operations differ")
+    return len(differ) + len(differ_demos) + len(differ_ops)
 
 
 def main() -> int:
