@@ -410,8 +410,11 @@ def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure
     """Real Jordan decomposition M = C G C^-1, with blocks grouped by
     distinct eigenvalue and generalized-eigenvector chains as columns.
 
-    Block sizes come from SVD rank tests of (M - lambda I)^k; the chain for
-    a block of size s is v, Nv, ..., N^(s-1)v with N = M - lambda I, which
+    Block sizes come from SVD rank tests of N^k, N = M - lambda I: with
+    nullities n_k, 2 n_k - n_(k-1) - n_(k+1) chains have height exactly k
+    (n_(s+1) = n_s at the top height s).  Their tops are the leading left
+    singular vectors of ker N^k projected off ker N^(k-1) and the taller
+    chains mapped down to height k.  A chain is v, Nv, ..., N^(k-1)v, which
     matches a Jordan matrix carrying ones on the subdiagonal.
     """
     if not spec.all_real:
@@ -450,56 +453,28 @@ def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure
                 )
             kernels.append(basis.T)
             nullities.append(len(basis))
-        smax = len(nullities) - 1
-        chains_ge = [0] * (smax + 2)
-        for k in range(1, smax + 1):
-            chains_ge[k] = nullities[k] - nullities[k - 1]
-
-        avoid = np.zeros((d, 0))
-
-        def extend_avoid(avoid: np.ndarray, vec: np.ndarray) -> np.ndarray:
-            if avoid.shape[1]:
-                vec = vec - avoid @ (avoid.T @ vec)
-            nrm = np.linalg.norm(vec)
-            if nrm < 1e-12:
-                return avoid
-            return np.column_stack([avoid, vec / nrm])
-
-        tops: list[tuple[np.ndarray, int]] = []
-        for k in range(smax, 0, -1):
-            # seed the avoid space: ker N^{k-1} plus taller chains mapped down
-            avoid = np.zeros((d, 0))
-            for col in kernels[k - 1].T:
-                avoid = extend_avoid(avoid, col.copy())
-            for top, height in tops:
-                vec = top.copy()
-                for _ in range(height - k):
-                    vec = nmat @ vec
-                avoid = extend_avoid(avoid, vec)
-            needed = chains_ge[k] - chains_ge[k + 1]
-            for _ in range(needed):
-                cand = kernels[k].copy()
-                if avoid.shape[1]:
-                    cand = cand - avoid @ (avoid.T @ cand)
-                norms = np.linalg.norm(cand, axis=0)
-                j = int(np.argmax(norms))
-                if norms[j] < 1e-8:
-                    raise IllConditionedTransform(
-                        "could not extract an independent chain top"
-                    )
-                vec = cand[:, j] / norms[j]
-                vec = vec * _canonical_signs(vec)
-                tops.append((vec, k))
-                avoid = extend_avoid(avoid, vec.copy())
-
-        for top, height in tops:
-            chain = [top]
-            for _ in range(height - 1):
-                chain.append(nmat @ chain[-1])
+        nullities.append(mult)  # n_(s+1) = n_s
+        chains: list[list[np.ndarray]] = []
+        for k in range(len(nullities) - 2, 0, -1):
+            count = 2 * nullities[k] - nullities[k - 1] - nullities[k + 1]
+            if count < 0:
+                raise IllConditionedTransform(
+                    f"rank sequence of (M - {lam} I)^k is inconsistent"
+                )
+            span = np.column_stack([kernels[k - 1], *(c[len(c) - k] for c in chains)])
+            tops = kernels[k].T  # semisimple: the kernel rows are the tops
+            if span.shape[1]:
+                q = np.linalg.qr(span)[0]
+                u = np.linalg.svd(kernels[k] - q @ (q.T @ kernels[k]), full_matrices=False)[0]
+                tops = u.T[:count] * _canonical_signs(u.T[:count])
+            for top in tops:
+                chains.append([top])
+                for _ in range(k - 1):
+                    chains[-1].append(nmat @ chains[-1][-1])
+        for chain in chains:
             scale = max(np.linalg.norm(v) for v in chain)
-            chain = [v / scale for v in chain]
-            blocks.append((lam, height))
-            columns.extend(chain)
+            blocks.append((lam, len(chain)))
+            columns.extend(v / scale for v in chain)
 
     transform = np.column_stack(columns)
     if not np.linalg.cond(transform) <= CONDITION_LIMIT:

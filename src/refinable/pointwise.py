@@ -512,7 +512,8 @@ def read_values(stream: IO[str]) -> ValueTable:
     """Parse a delimited dump (an exported ValueTable or cascade samples)
     into per-level arrays; values round-trip bit-exactly, and a level without
     rows is absent.  Raises ValueError unless the header is
-    :func:`sample_header` of some d and every row has its 2d + 2 fields."""
+    :func:`sample_header` of some d, every row has its 2d + 2 fields and
+    every level and index cell fits in int64."""
     header = stream.readline().rstrip("\n")
     dim = (header.count("\t") - 1) // 2
     if header != sample_header(dim):
@@ -520,10 +521,14 @@ def read_values(stream: IO[str]) -> ValueTable:
     rows = [line.split("\t") for line in stream.read().splitlines() if line]
     if any(len(parts) != 2 * dim + 2 for parts in rows):
         raise ValueError(f"a row does not have the header's {2 * dim + 2} fields")
-    levels = np.array([int(parts[0]) for parts in rows], dtype=np.int64)
-    index_rows = np.array(
-        [[int(x) for x in parts[1 : 1 + dim]] for parts in rows], dtype=np.int64
-    ).reshape(-1, dim)
+    keys = [[int(x) for x in parts[: 1 + dim]] for parts in rows]
+    try:
+        key_array = np.array(keys, dtype=np.int64).reshape(-1, 1 + dim)
+    except OverflowError:
+        cells = [(n, c) for key in keys for n, c in zip(header.split("\t"), key)]
+        name, cell = next(nc for nc in cells if not -(2**63) <= nc[1] < 2**63)
+        raise ValueError(f"{name} cell {cell} does not fit in int64") from None
+    levels, index_rows = key_array[:, 0], key_array[:, 1:]
     value_col = np.array([float(parts[1 + 2 * dim]) for parts in rows])
     samples = {}
     for level in np.unique(levels).tolist():

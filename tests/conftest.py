@@ -1,10 +1,18 @@
-"""Shared problem fixtures: the classical test masks of the suite."""
+"""Shared problem fixtures: the classical test masks of the suite, and the
+one Hypothesis profile every property test runs under."""
 
 import math
 
 import pytest
+from hypothesis import settings
 
 from refinable import problem_from_data
+
+# Every run draws the same examples, so two revisions are tested on the same
+# inputs; no deadline, since timing varies between machines; no example
+# database, so earlier failures do not change what a run draws.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 SQRT3 = math.sqrt(3.0)
 

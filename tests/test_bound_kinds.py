@@ -28,7 +28,6 @@ KINDS = {"Ball", "Box", "TransformedBox"}
 KIND_FIELDS = {"radius", "transform", "transform_inverse", "half_widths"}
 _PROPERTY = settings(
     max_examples=80,
-    deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 

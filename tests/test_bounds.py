@@ -208,7 +208,7 @@ class TestJordanBlockFixedPoint:
                 for value, true in zip(jordan_block_bound(a, 4, q), exact):
                     assert abs(Fraction(value) - true) <= Fraction(1e-15) * true
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(st.floats(1.0, 8.0, exclude_min=True), st.integers(1, 6), st.floats(1e-6, 10.0))
     def test_block_bound_is_the_exact_sum(self, a, size, q):
         exact = exact_block_sums(a, size, q)
@@ -216,7 +216,7 @@ class TestJordanBlockFixedPoint:
             # k additions and k divisions, each off by at most half an ulp
             assert abs(Fraction(value) - true) <= Fraction(2 * k, 2**53) * true
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(st.floats(1.0 + 1 / 64, 8.0), st.integers(1, 6), st.floats(1e-6, 10.0))
     def test_table_columns_increase_to_the_block_bound(self, a, size, q):
         # column k trails its limit by about n^(k-1) a^-n; a nearer 1 would

@@ -185,7 +185,7 @@ def tensor_problems(draw):
     return problem_from_data(2, matrix, [{"q": q, "c": c} for q, c in taps])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(tensor_problems())
 def test_every_record_passes_on_tensor_digit_masks(problem):
     checks = run_checks(problem, 4, 3, 1e-12)

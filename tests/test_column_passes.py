@@ -33,7 +33,6 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 BUNDLED = sorted(PROBLEMS.glob("*.json"))
 _PROPERTY = settings(
     max_examples=80,
-    deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 

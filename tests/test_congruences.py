@@ -147,7 +147,7 @@ def tables(draw):
 
 
 SETTINGS = settings(
-    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    max_examples=150, suppress_health_check=[HealthCheck.filter_too_much]
 )
 
 
@@ -234,7 +234,7 @@ def test_representatives_are_exactly_m_sorted_points():
     assert math.prod(reps.shape) == 100003
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.integers(1, 3).flatmap(
     lambda d: st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
                        min_size=d, max_size=d)))

@@ -161,7 +161,6 @@ def assert_stderr_contract(argv, code, err):
 
 @settings(
     max_examples=100,
-    deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 @given(documents())

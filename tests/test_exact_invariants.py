@@ -34,7 +34,7 @@ def matrices(draw):
     return rows
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(matrices())
 def test_one_pass_matches_the_references(rows):
     matrix = IntMatrix.from_rows(rows)

@@ -88,7 +88,7 @@ def outcome(func, matrix):
     )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(st.one_of(small_matrices(), repeated_spectra(), huge_entries()))
 def test_integer_spectrum_matches_the_fraction_oracle(rows):
     matrix = IntMatrix.from_rows(rows)

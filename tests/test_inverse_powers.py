@@ -19,7 +19,7 @@ from oracle import (
 from test_congruences import problems
 
 SETTINGS = settings(
-    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    max_examples=100, suppress_health_check=[HealthCheck.filter_too_much]
 )
 
 

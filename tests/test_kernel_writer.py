@@ -82,7 +82,7 @@ def kernel_inputs(draw):
     return problem, np.asarray(points, dtype=np.int64), np.asarray(values), step
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(kernel_inputs())
 def test_kernel_matches_dict_accumulation(case):
     problem, indices, values, step = case
@@ -190,7 +190,7 @@ def test_roundoff_keeps_orjson_text(monkeypatch):
     assert len(calls) == len(small)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(st.integers(0, 2**64 - 1))
 def test_any_finite_float_formats_like_repr(bits):
     x = float(np.uint64(bits).view(np.float64))
@@ -220,7 +220,7 @@ def test_writer_across_chunk_boundaries():
     assert written(matrix, blocks) == per_row_reference(matrix, blocks)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.integers(1, 3).flatmap(
         lambda d: st.tuples(
@@ -286,7 +286,7 @@ def repeated_blocks(draw):
     return d, blocks
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 @given(repeated_blocks())
 def test_writer_matches_per_row_format_on_repeated_values(case):
     d, blocks = case
@@ -410,7 +410,7 @@ def run_length_columns(draw):
     return d, np.stack([leading, *rest], axis=1), values
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(run_length_columns())
 def test_writer_matches_per_row_format_on_runs(case):
     d, indices, values = case

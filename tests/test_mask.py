@@ -163,7 +163,7 @@ def documents(draw):
 
 
 @settings(
-    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    max_examples=150, suppress_health_check=[HealthCheck.filter_too_much]
 )
 @given(documents())
 def test_serialize_parse_round_trip(text):

@@ -121,7 +121,6 @@ def refine_cases(draw):
 
 _PROPERTY = settings(
     max_examples=60,
-    deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
@@ -271,6 +270,20 @@ def test_read_rejects_non_finite_values(text):
 def test_read_refuses_any_layout_but_the_writers(text, match):
     with pytest.raises(ValueError, match=match):
         read_values(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    ("row", "cell"),
+    [
+        ("99999999999999999999\t0\t0.0\t0.5", "level cell 99999999999999999999"),
+        ("0\t99999999999999999999\t0.0\t0.5", "k0 cell 99999999999999999999"),
+        ("0\t-9223372036854775809\t0.0\t0.5", "k0 cell -9223372036854775809"),
+    ],
+    ids=["level", "index", "index-below"],
+)
+def test_read_refuses_cells_beyond_int64(row, cell):
+    with pytest.raises(ValueError, match=f"^{cell} does not fit in int64$"):
+        read_values(io.StringIO(f"level\tk0\tx0\tvalue\n0\t1\t0.0\t0.25\n{row}\n"))
 
 
 class TestSampledFunction:
