@@ -23,12 +23,11 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .errors import EnumerationTooLarge, IndexOverflow, NonFiniteArithmetic
-from .linalg import DilationMatrix, IntMatrix
+from .linalg import _INDEX_LIMIT, DilationMatrix
 from .mask import Mask, Problem
 
 DEFAULT_SUPPORT_EPS = 1e-12
 DEFAULT_LEVEL_CAP = 12
-_INDEX_LIMIT = 2**62
 # The most rows one cascade or refinement step may scatter, |mask| x input
 # samples.  The kernel peaks at about 43 bytes per scattered row in 2-D
 # (tracemalloc, 45.1 MB on shear2d's level 10), so this bounds a level near
@@ -88,15 +87,6 @@ def initial_samples(problem: Problem) -> SampledFunction:
 # ---------------------------------------------------------------------------
 # the shared refinement kernel
 # ---------------------------------------------------------------------------
-
-def _index_power(problem: Problem, n: int) -> IntMatrix:
-    """M^n, refused with IndexOverflow when an entry is too large for int64
-    lattice index arithmetic."""
-    power = problem.matrix.power(n)
-    if max(abs(x) for row in power.rows for x in row) >= _INDEX_LIMIT:
-        raise IndexOverflow(f"M^{n} has entries too large for int64 lattice indices")
-    return power
-
 
 def _float_m(problem: Problem) -> float:
     """m = |det M| as a float, refused with NonFiniteArithmetic when it lies
@@ -225,21 +215,18 @@ def refinement_step(
     """
     if step < 1:
         raise ValueError("step must be positive")
-    power = _index_power(problem, step - 1)
+    shifts = problem.matrix.images(problem.mask.tap_rows, step - 1)
     d = problem.dim
     if len(indices) == 0:
         return np.zeros((0, d), dtype=np.int64), np.zeros(0)
     indices = np.asarray(indices, dtype=np.int64)  # keys are computed in int64
-    taps = problem.mask.items_sorted()
-    shifts = [power.apply(q) for q, _ in taps]
     # Row arrays are (n, d) with d small, and numpy reduces or broadcasts
     # along such an array in inner loops of length d, one call per row: one
     # contiguous pass per column is 8-20x faster, so the hull and the keys
     # are computed column by column.  The hull of indices + shifts is exact,
     # in Python ints, so nothing can wrap.
     first, last = _column_hull(indices)
-    low = [min(s[i] for s in shifts) for i in range(d)]
-    high = [max(s[i] for s in shifts) for i in range(d)]
+    low, high = _column_hull(shifts)
     lo = [a + b for a, b in zip(first, low)]
     hi = [a + b for a, b in zip(last, high)]
     refusal = f"level-{step} lattice indices do not fit in int64"
@@ -248,16 +235,16 @@ def refinement_step(
     strides = _key_strides(lo, hi, refusal)
     # key(k + shift) = key of k relative to the input hull + key of the shift
     # relative to the lowest shift; both parts are nonnegative
-    offsets = [sum((s[i] - low[i]) * strides[i] for i in range(d)) for s in shifts]
+    offsets = _row_keys(shifts, low, strides)
     base = _row_keys(indices, first, strides)
     m = _float_m(problem)
-    weights = [m * coeff for _, coeff in taps]
+    weights = [m * coeff for _, coeff in problem.mask.items_sorted()]
     # the caller keeps no reference to the scattered keys and weights, so
     # the merge frees each one as soon as it has been reordered; products and
     # sums beyond float range are refused just below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         unique, sums = _merge_runs(
-            (np.asarray(offsets, dtype=np.int64)[:, None] + base).reshape(-1),
+            (offsets[:, None] + base).reshape(-1),
             (np.asarray(weights)[:, None] * values).reshape(-1),
         )
     if not np.all(np.isfinite(sums)):
@@ -307,11 +294,11 @@ def run_cascade(
     :class:`InitialFunctionKind`)."""
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    # refuse a run whose lattice indices overflow before any level is spent,
+    # refuse a run whose tap images M^n q overflow before any level is spent,
     # and one whose m = |det M| overflows a float, which every level's values
     # and the mass of every iterate, level 0 included, are scaled by
     for level in range(1, levels):
-        _index_power(problem, level)
+        problem.matrix.images(problem.mask.tap_rows, level)
     _float_m(problem)
     result = [initial_samples(problem)]
     for _ in range(levels):

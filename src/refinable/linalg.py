@@ -40,6 +40,9 @@ DILATION_TOL = 1e-8
 CONDITION_LIMIT = 1e8
 RECONSTRUCTION_RTOL = 1e-8
 NEWTON_MAX_ITER = 60
+# int64 lattice indices stay below this magnitude, so the sum or difference
+# of two of them never leaves int64
+_INDEX_LIMIT = 2**62
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +133,9 @@ class JordanStructure:
 @dataclass(frozen=True)
 class DilationCheck:
     """Result of the dilation test; falsy when the matrix fails, with the
-    offending eigenvalues listed."""
+    offending eigenvalue moduli listed in the reason."""
 
     ok: bool
-    offending: tuple[complex, ...]
     reason: str
 
     def __bool__(self) -> bool:
@@ -373,13 +375,11 @@ def _spectrum(coeffs: Sequence[int]) -> Spectrum:
 
 
 def _spectrum_verdict(spec: Spectrum) -> DilationCheck:
-    offending = tuple(
-        z for z in spec.eigenvalues if abs(z) <= 1.0 + DILATION_TOL
-    )
-    if offending:
-        mods = ", ".join(f"{abs(z):.6g}" for z in offending)
-        return DilationCheck(False, offending, f"eigenvalue modulus not above one: {mods}")
-    return DilationCheck(True, (), "all eigenvalue moduli above one")
+    moduli = [abs(z) for z in spec.eigenvalues if abs(z) <= 1.0 + DILATION_TOL]
+    if moduli:
+        mods = ", ".join(f"{r:.6g}" for r in moduli)
+        return DilationCheck(False, f"eigenvalue modulus not above one: {mods}")
+    return DilationCheck(True, "all eigenvalue moduli above one")
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +565,7 @@ class DilationMatrix:
         """True iff the matrix is invertible and every eigenvalue modulus
         exceeds one (with a small classification tolerance)."""
         if self.determinant == 0:
-            return DilationCheck(False, (), "determinant is zero")
+            return DilationCheck(False, "determinant is zero")
         return _spectrum_verdict(self.spectrum)
 
     @cached_property
@@ -631,6 +631,18 @@ class DilationMatrix:
         """The points x = k (M^-n)^T of the level-n indices k, the rows of
         ``indices``; the library's one coordinate formula."""
         return np.asarray(indices, dtype=float) @ self.inverse_power_array(n).T
+
+    def images(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """The images M^n k of the ``(N, d)`` int64 rows k; the library's one
+        move of lattice rows by a power of M.  Refused with IndexOverflow
+        when max(1, largest |k_i|) times the largest absolute row sum of M^n
+        reaches ``_INDEX_LIMIT``, which bounds every image entry."""
+        power = self.power(n).rows
+        # at least one, so an entry of M^n beyond int64 is refused even for k = 0
+        largest = max(1, -int(rows.min(initial=0)), int(rows.max(initial=0)))
+        if largest * max(sum(map(abs, row)) for row in power) >= _INDEX_LIMIT:
+            raise IndexOverflow(f"images M^{n} k of the lattice indices do not fit in int64")
+        return rows @ np.asarray(power, dtype=np.int64).T
 
     def residues(self, n: int, indices: np.ndarray) -> np.ndarray:
         """Residue classes of the integer rows ``indices`` modulo M^n Z^d.

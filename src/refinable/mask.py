@@ -36,7 +36,7 @@ from .errors import (
     NotDilation,
     ParseError,
 )
-from .linalg import MAX_DIM, DilationMatrix, IntMatrix
+from .linalg import _INDEX_LIMIT, MAX_DIM, DilationMatrix, IntMatrix
 
 MASK_SUM_TOL = 1e-12
 COSET_UNIFORM_TOL = 1e-10
@@ -95,6 +95,16 @@ class Mask:
 
     def items_sorted(self) -> tuple[tuple[tuple[int, ...], float], ...]:
         return self._taps
+
+    @cached_property
+    def tap_rows(self) -> np.ndarray:
+        """The sorted taps q as read-only ``(T, d)`` int64 rows, refused with
+        IndexOverflow when an entry reaches ``_INDEX_LIMIT``."""
+        if max(abs(x) for q in self.coefficients for x in q) >= _INDEX_LIMIT:
+            raise IndexOverflow("mask indices do not fit in int64")
+        rows = np.array(self.support, dtype=np.int64)
+        rows.flags.writeable = False
+        return rows
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .bounds import SupportBound, best_bound, enclosing_integer_box
 from .cascade import (
-    _INDEX_LIMIT,
     SampledFunction,
     _hull_keys,
     _locate,
@@ -43,7 +42,7 @@ from .errors import (
     NormalizationImpossible,
     NoUnitEigenvalue,
 )
-from .linalg import CONDITION_LIMIT, _null_space
+from .linalg import _INDEX_LIMIT, CONDITION_LIMIT, _null_space
 from .mask import _ENUMERATION_CAP, Problem, per_problem
 
 UNIT_EIGENVALUE_TOL = 1e-9
@@ -134,17 +133,15 @@ def build_transfer_matrix(problem: Problem, points: np.ndarray) -> TransferMatri
             f"{_TRANSFER_CAP}"
         )
     # first, since M's entries bound m = |det M|, which is rounded below
-    images = _images(problem, points)
+    images = problem.matrix.images(points, 1)
     m = float(problem.m)
     taps = [(q, m * c) for q, c in problem.mask.items_sorted()]
     for q, w in taps:
         if not math.isfinite(w):
             raise NonFiniteArithmetic(f"transfer entry m c_q overflows at q = {list(q)}")
-    if max(abs(x) for q, _ in taps for x in q) >= _INDEX_LIMIT:
-        raise IndexOverflow("mask indices do not fit in int64")
-    shifts = np.asarray([q for q, _ in taps], dtype=np.int64).reshape(len(taps), 1, d)
     # the points M k_i - q, tap-major: query t n + i is tap t of point i
-    keys, probes = _hull_keys(points, (images - shifts).reshape(-1, d))
+    queries = (images - problem.mask.tap_rows[:, None]).reshape(-1, d)
+    keys, probes = _hull_keys(points, queries)
     order = np.argsort(keys, kind="stable")
     keys = keys.take(order)
     if np.any(keys[1:] == keys[:-1]):
@@ -363,17 +360,6 @@ class ValueTable:
         return {j: f.as_dict() for j, f in self.samples.items()}
 
 
-def _images(problem: Problem, rows: np.ndarray) -> np.ndarray:
-    """M k for every row k, refused with IndexOverflow when an image could
-    leave int64."""
-    matrix = problem.matrix.matrix.rows
-    # at least one, so an entry beyond int64 is refused even for k = 0
-    largest = max(1, int(np.abs(rows).max(initial=0)))
-    if largest * max(sum(map(abs, r)) for r in matrix) >= _INDEX_LIMIT:
-        raise IndexOverflow("images M k of the stored indices do not fit in int64")
-    return rows @ np.asarray(matrix, dtype=np.int64).T
-
-
 def _with_images(
     indices: np.ndarray, values: np.ndarray, images: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -436,7 +422,7 @@ def refine_values(
                 f"level {level}; bound, seed, or enumeration is inconsistent"
             )
         indices, values = np.compress(inside, indices, axis=0), values[inside]
-        images = _images(problem, samples[level - 1].indices)
+        images = problem.matrix.images(samples[level - 1].indices, 1)
         samples[level] = SampledFunction(level, *_with_images(indices, values, images))
     return ValueTable(samples)
 
@@ -448,7 +434,7 @@ def refine_consistency(problem: Problem, table: ValueTable) -> float:
     worst = 0.0
     for level in range(1, table.max_level + 1):
         coarse, fine = table.samples[level - 1], table.samples[level]
-        pos, found = _locate(fine.indices, _images(problem, coarse.indices))
+        pos, found = _locate(fine.indices, problem.matrix.images(coarse.indices, 1))
         if found.any():
             gap = np.abs(fine.values[pos[found]] - coarse.values[found])
             worst = max(worst, float(gap.max()))
