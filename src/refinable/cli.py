@@ -120,8 +120,7 @@ def _bound_lines(problem: Problem, records: list[dict]) -> list[str]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_analyze(args) -> int:
-    problem = _load_problem(args.problem)
+def _cmd_analyze(problem: Problem, args) -> int:
     mat = problem.matrix
     verdict = mat.dilation_check
     report = coset_sum_report(problem)
@@ -174,8 +173,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_bound(args) -> int:
-    problem = _load_problem(args.problem)
+def _cmd_bound(problem: Problem, args) -> int:
     best = bounds_mod.best_bound(problem)
     box = bounds_mod.enclosing_integer_box(best)
     records = [b.record() for b in bounds_mod.applicable_bounds(problem)]
@@ -193,8 +191,7 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _cmd_cascade(args) -> int:
-    problem = _load_problem(args.problem)
+def _cmd_cascade(problem: Problem, args) -> int:
     _require_range("--iters", args.iters, 0, LEVEL_CAP)
     _require_range("--eps", args.eps, 0)
     iterates = cascade_mod.run_cascade(problem, levels=args.iters)
@@ -216,8 +213,7 @@ def _cmd_cascade(args) -> int:
     return 0
 
 
-def _cmd_values(args) -> int:
-    problem = _load_problem(args.problem)
+def _cmd_values(problem: Problem, args) -> int:
     result, notes, values = pointwise_mod.resolve_values(problem, args.left_closed)
     points = result.points.tolist()
     zeros = result.structural_zeros.tolist()
@@ -248,8 +244,7 @@ def _cmd_values(args) -> int:
     return 0
 
 
-def _cmd_refine(args) -> int:
-    problem = _load_problem(args.problem)
+def _cmd_refine(problem: Problem, args) -> int:
     _require_range("--levels", args.levels, 1, LEVEL_CAP)
     result, notes, values = pointwise_mod.resolve_values(problem, args.left_closed)
     try:
@@ -268,8 +263,7 @@ def _cmd_refine(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    problem = _load_problem(args.problem)
+def _cmd_check(problem: Problem, args) -> int:
     _require_range("--iters", args.iters, 0, LEVEL_CAP)
     _require_range("--levels", args.levels, 1, LEVEL_CAP)
     _require_range("--eps", args.eps, 0)
@@ -346,7 +340,7 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = args.func(_load_problem(args.problem), args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -355,12 +349,9 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except InputError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except RefinableError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
     except MemoryError as exc:
         # numpy raises a subclass; the line names the builtin
         print(f"error: MemoryError: {exc}", file=sys.stderr)

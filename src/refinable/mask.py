@@ -67,15 +67,16 @@ class Mask:
                 raise DimensionMismatch(
                     f"index {q} does not have dimension {self.dim}"
                 )
+        # exact data sums to exactly one; floats within MASK_SUM_TOL
         if self.rational is not None:
-            total = sum(self.rational.values())
-            deviation = abs(total - 1)
+            deviation, tol = abs(sum(self.rational.values()) - 1), 0
         else:
             try:
                 deviation = abs(math.fsum(self.coefficients.values()) - 1.0)
             except OverflowError as exc:
                 raise MaskSumViolation(f"coefficient sum leaves float range ({exc})") from exc
-        if deviation > MASK_SUM_TOL:
+            tol = MASK_SUM_TOL
+        if deviation > tol:
             raise MaskSumViolation(
                 f"mask coefficients must sum to 1 (off by {float(deviation):.3g})"
             )

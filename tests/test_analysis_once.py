@@ -1,6 +1,7 @@
-"""Each per-problem artefact (spectrum, bound, candidate points, transfer
-matrix) is computed once per call, is shared read-only, and stays with the
-Problem instance it belongs to; a dumping call creates its directory once."""
+"""Each CLI call parses its document once, before any flag check.  Each
+per-problem artefact (spectrum, bound, candidate points, transfer matrix) is
+computed once per call, is shared read-only, and stays with the Problem
+instance it belongs to; a dumping call creates its directory once."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -93,6 +94,34 @@ def test_each_cli_call_analyses_once(args, counted, tmp_path):
     assert counted["_faddeev_leverrier"] == 1
     assert counted["_spectrum"] == 1
     assert counted.get("build_transfer_matrix", 0) <= 1
+
+
+@pytest.mark.parametrize("args", SUBCOMMANDS + [["cascade", "--iters", "2"]], ids=lambda a: a[0])
+def test_each_cli_call_parses_the_document_once(args, tmp_path, monkeypatch):
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_problem(text)
+
+    monkeypatch.setattr(cli, "parse_problem", counting)
+    doc = tmp_path / "haar.json"
+    doc.write_text((PROBLEMS / "haar.json").read_text())
+    argv = args[:1] + [str(doc)] + args[1:]
+    if args[0] in ("cascade", "refine"):
+        argv += ["--outdir", str(tmp_path)]
+    code, _, err = run_main(argv)
+    assert code == 0, err
+    assert parsed == [doc.read_text()]
+
+
+@pytest.mark.parametrize("command", [["refine", "--levels", "0"], ["check", "--iters", "13"]])
+def test_the_document_is_refused_before_the_flags(command, tmp_path):
+    doc = tmp_path / "bad.json"
+    doc.write_text("{not json")
+    code, out, err = run_main(command[:1] + [str(doc)] + command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ParseError: invalid JSON: ")
 
 
 def test_refine_left_closed_sets_up_once(counted, tmp_path):

@@ -58,6 +58,14 @@ class TestParsing:
         with pytest.raises(MaskSumViolation):
             parse_problem(doc(1, [[2]], [{"q": [0], "c": "1/2"}, {"q": [1], "c": "1/4"}]))
 
+    def test_exact_masks_sum_to_exactly_one(self):
+        # 1e-13 off: inside the float tolerance, refused on exact data
+        with pytest.raises(MaskSumViolation, match=r"^mask coefficients must sum to 1 \(off by 1e-13\)$"):
+            parse_problem(doc(1, [[2]], [{"q": [0], "c": "1/2"},
+                                         {"q": [1], "c": "5000000000001/10000000000000"}]))
+        twin = parse_problem(doc(1, [[2]], [{"q": [0], "c": 0.5}, {"q": [1], "c": 0.5000000000001}]))
+        assert twin.mask.rational is None
+
     def test_unknown_top_level_field(self):
         data = json.loads(HAAR_DOC)
         data["comment"] = "nope"
