@@ -290,7 +290,7 @@ def parallelepiped_bound(problem: Problem) -> TransformedBox:
     with np.errstate(over="ignore", invalid="ignore"):
         norms = [
             float(np.linalg.norm(cinv @ np.asarray(q, dtype=float)))
-            for q in problem.mask.support
+            for q in problem.mask.coefficients
         ]
     q_eff = max([0.0, *norms])
     halves: list[float] = []

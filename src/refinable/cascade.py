@@ -238,7 +238,7 @@ def refinement_step(
     offsets = _row_keys(shifts, low, strides)
     base = _row_keys(indices, first, strides)
     m = _float_m(problem)
-    weights = [m * coeff for _, coeff in problem.mask.items_sorted()]
+    weights = [m * coeff for coeff in problem.mask.coefficients.values()]
     # the caller keeps no reference to the scattered keys and weights, so
     # the merge frees each one as soon as it has been reordered; products and
     # sums beyond float range are refused just below, so numpy need not warn
@@ -349,7 +349,7 @@ def m0_eval(mask: Mask, u: Sequence[float]) -> complex:
     if len(uvec) != mask.dim:
         raise ValueError(f"u must have dimension {mask.dim}")
     total = 0.0 + 0.0j
-    for q, coeff in mask.items_sorted():
+    for q, coeff in mask.coefficients.items():
         phase = -2.0 * math.pi * sum(qi * ui for qi, ui in zip(q, uvec))
         total += coeff * cmath.exp(1j * phase)
     return total

@@ -52,7 +52,9 @@ class Mask:
 
     ``rational`` carries the exact values when every input coefficient was
     rational, and is None otherwise.  Zero coefficients are dropped, so the
-    support is exactly the key set.
+    support is exactly the key set.  ``coefficients`` is stored again in
+    index order, so iterating it gives the taps in the one order that every
+    layer reads.
     """
 
     dim: int
@@ -80,10 +82,8 @@ class Mask:
             raise MaskSumViolation(
                 f"mask coefficients must sum to 1 (off by {float(deviation):.3g})"
             )
-
-    @property
-    def support(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(q for q, _ in self._taps)
+        # a new dict in index order; the caller's is left as it was
+        object.__setattr__(self, "coefficients", dict(sorted(self.coefficients.items())))
 
     @cached_property
     def radius(self) -> float:
@@ -91,19 +91,12 @@ class Mask:
         return max(math.sqrt(sum(x * x for x in q)) for q in self.coefficients)
 
     @cached_property
-    def _taps(self) -> tuple[tuple[tuple[int, ...], float], ...]:
-        return tuple(sorted(self.coefficients.items()))
-
-    def items_sorted(self) -> tuple[tuple[tuple[int, ...], float], ...]:
-        return self._taps
-
-    @cached_property
     def tap_rows(self) -> np.ndarray:
-        """The sorted taps q as read-only ``(T, d)`` int64 rows, refused with
-        IndexOverflow when an entry reaches ``_INDEX_LIMIT``."""
+        """The taps q, in index order, as read-only ``(T, d)`` int64 rows,
+        refused with IndexOverflow when an entry reaches ``_INDEX_LIMIT``."""
         if max(abs(x) for q in self.coefficients for x in q) >= _INDEX_LIMIT:
             raise IndexOverflow("mask indices do not fit in int64")
-        rows = np.array(self.support, dtype=np.int64)
+        rows = np.array(list(self.coefficients), dtype=np.int64)
         rows.flags.writeable = False
         return rows
 
@@ -283,7 +276,7 @@ def parse_problem(source: str) -> Problem:
 def serialize_problem(problem: Problem) -> str:
     """Canonical JSON for a problem; parse(serialize(p)) reproduces p."""
     records = []
-    for q, value in problem.mask.items_sorted():
+    for q, value in problem.mask.coefficients.items():
         if problem.mask.rational is not None:
             frac = problem.mask.rational[q]
             c = (
@@ -379,17 +372,17 @@ def coset_sum_report(problem: Problem) -> CosetSums:
     classes = {
         key: i for i, key in enumerate(map(tuple, matrix.residues(1, reps).tolist()))
     }
-    taps = problem.mask.items_sorted()
+    taps = problem.mask.coefficients
     # q = q mod m (mod M Z^d), since m Z^d lies in M Z^d; this keeps every
     # index, however large, inside int64
-    reduced = [[x % matrix.m for x in q] for q, _ in taps]
+    reduced = [[x % matrix.m for x in q] for q in taps]
     tap_keys = matrix.residues(1, np.asarray(reduced, dtype=np.int64))
     try:
         which = [classes[key] for key in map(tuple, tap_keys.tolist())]
     except KeyError as exc:
         raise ArithmeticError(f"an index matched no residue class: {exc}") from exc
     # bincount adds each class's weights in input order, starting from 0.0
-    sums = np.bincount(which, weights=[c for _, c in taps], minlength=len(reps))
+    sums = np.bincount(which, weights=list(taps.values()), minlength=len(reps))
     target = 1.0 / problem.m
     uniform = all(abs(s - target) <= COSET_UNIFORM_TOL for s in sums.tolist())
     return CosetSums(tuple(map(tuple, reps.tolist())), tuple(sums.tolist()), uniform)

@@ -135,7 +135,7 @@ def build_transfer_matrix(problem: Problem, points: np.ndarray) -> TransferMatri
     # first, since M's entries bound m = |det M|, which is rounded below
     images = problem.matrix.images(points, 1)
     m = float(problem.m)
-    taps = [(q, m * c) for q, c in problem.mask.items_sorted()]
+    taps = [(q, m * c) for q, c in problem.mask.coefficients.items()]
     for q, w in taps:
         if not math.isfinite(w):
             raise NonFiniteArithmetic(f"transfer entry m c_q overflows at q = {list(q)}")

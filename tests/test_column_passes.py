@@ -222,7 +222,7 @@ def per_tap_transfer(problem, points):
     column = {tuple(p): j for j, p in enumerate(points)}
     m = float(problem.m)
     matrix = np.zeros((len(points), len(points)))
-    for q, c in problem.mask.items_sorted():
+    for q, c in problem.mask.coefficients.items():
         for i, k in enumerate(points):
             image = problem.matrix.matrix.apply(k)
             j = column.get(tuple(a - b for a, b in zip(image, q)))

@@ -54,7 +54,7 @@ def reference_coset_sums(problem):
     reps = reference_representatives(problem.matrix)
     inv = fraction_inverse(problem.matrix.matrix)
     sums = [0.0] * len(reps)
-    for q, value in problem.mask.items_sorted():
+    for q, value in problem.mask.coefficients.items():
         for i, rep in enumerate(reps):
             delta = [a - b for a, b in zip(q, rep)]
             if all(x.denominator == 1 for x in apply(inv, delta)):

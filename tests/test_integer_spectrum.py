@@ -11,11 +11,27 @@ change of basis and sometimes scaled so the coefficients pass 2^53; and
 matrices with a few entries far beyond 2^53 or beyond float range.
 """
 
-from hypothesis import given, settings
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from refinable import DilationMatrix, IntMatrix
+from refinable import DilationMatrix, IntMatrix, linalg
+from refinable.errors import RootFindingFailure
+
+# p(x) = x^4 - 1152921504606846977 x^3 + 13835058055282163801 x^2
+#        - 63410682753376585479 x - 654859414616689087480, squarefree, whose
+# companion-matrix roots from np.roots are too coarse for three of its four
+# roots: Newton's update in linalg._roots_of_squarefree has to run on it
+POLISHED = [1, -1152921504606846977, 13835058055282163801, -63410682753376585479,
+            -654859414616689087480]
+POLISHED_COMPANION = [
+    [0, 0, 0, -POLISHED[4]],
+    [1, 0, 0, -POLISHED[3]],
+    [0, 1, 0, -POLISHED[2]],
+    [0, 0, 1, -POLISHED[1]],
+]
 
 HUGE_ENTRIES = [2**60, -(10**40), 10**160, -(10**200), 2**1023, 10**310, -(3**700)]
 
@@ -90,6 +106,7 @@ def outcome(func, matrix):
 
 @settings(max_examples=400)
 @given(st.one_of(small_matrices(), repeated_spectra(), huge_entries()))
+@example(POLISHED_COMPANION)
 def test_integer_spectrum_matches_the_fraction_oracle(rows):
     matrix = IntMatrix.from_rows(rows)
     assert outcome(lambda m: DilationMatrix(m).characteristic_polynomial, matrix) == outcome(
@@ -98,3 +115,22 @@ def test_integer_spectrum_matches_the_fraction_oracle(rows):
     assert outcome(lambda m: DilationMatrix(m).spectrum, matrix) == outcome(
         oracle.eigenvalues, matrix
     )
+
+
+def test_newton_polish_runs_on_the_companion_example(monkeypatch):
+    matrix = DilationMatrix(IntMatrix.from_rows(POLISHED_COMPANION))
+    assert list(matrix.characteristic_polynomial) == POLISHED
+    # the start values, judged by the backward-error test of
+    # _roots_of_squarefree: |p(z)| <= 1e-14 times the evaluation scale
+    cf = [float(c) for c in POLISHED]
+    n = len(cf) - 1
+
+    def backward_error(z):
+        scale = sum(abs(c) * max(1.0, abs(z)) ** (n - i) for i, c in enumerate(cf))
+        return abs(linalg._poly_eval(cf, z)) / max(scale, 1.0)
+
+    assert max(backward_error(complex(z)) for z in np.roots(cf)) > 1e-14
+    # without the update those start values are refused
+    monkeypatch.setattr(linalg, "NEWTON_MAX_ITER", 0)
+    with pytest.raises(RootFindingFailure):
+        linalg._roots_of_squarefree(POLISHED)

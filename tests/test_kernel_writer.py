@@ -36,7 +36,7 @@ def reference_step(problem, indices, values, step):
     power = problem.matrix.power(step - 1)
     m = float(problem.m)
     acc = {}
-    for q, coeff in problem.mask.items_sorted():
+    for q, coeff in problem.mask.coefficients.items():
         shift = power.apply(q)
         for idx, value in zip(indices.tolist(), values.tolist()):
             key = tuple(a + b for a, b in zip(idx, shift))

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +16,7 @@ from refinable import (
     problem_from_data,
     serialize_problem,
 )
+from refinable.cascade import cascade_step, initial_samples, refinement_step
 from refinable.errors import (
     DimensionMismatch,
     EmptyMask,
@@ -22,8 +24,11 @@ from refinable.errors import (
     NotDilation,
     ParseError,
 )
+from refinable.pointwise import transfer_matrix
 from conftest import D4_COEFFS
 from test_congruences import dilation_rows
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 
 
 def doc(dimension, matrix, coefficients):
@@ -202,13 +207,52 @@ class TestRadius:
 
 
 def test_taps_are_sorted_once():
-    # the kernel, the transfer assembly and the bounds read the taps on every
-    # call; they share one sorted tuple, and the support is its keys
-    mask = Mask(2, {(1, 0): 0.25, (0, 1): 0.25, (0, 0): 0.5})
-    taps = mask.items_sorted()
-    assert taps == (((0, 0), 0.5), ((0, 1), 0.25), ((1, 0), 0.25))
-    assert mask.items_sorted() is taps
-    assert mask.support == ((0, 0), (0, 1), (1, 0))
+    # every layer iterates the coefficients as the tap table, so a mask keeps
+    # them in index order, whatever order the caller's dict had
+    given = {(1, 0): 0.25, (0, 1): 0.25, (0, 0): 0.5}
+    mask = Mask(2, given)
+    assert list(mask.coefficients.items()) == [((0, 0), 0.5), ((0, 1), 0.25), ((1, 0), 0.25)]
+    assert list(given) == [(1, 0), (0, 1), (0, 0)]
+    assert mask.tap_rows.tolist() == [[0, 0], [0, 1], [1, 0]]
+
+
+# p10-d2-jordan-conv of the seed-1 many-small workload
+MANY_SMALL_DOC = doc(
+    2,
+    [[2, 0], [-1, 2]],
+    [
+        {"q": list(q), "c": c}
+        for q, c in [
+            ((-2, 0), "1/16"), ((-1, 0), "1/8"), ((-1, 1), "1/8"),
+            ((0, 0), "3/16"), ((0, 1), "1/8"), ((0, 2), "1/16"),
+            ((1, 0), "1/8"), ((1, 1), "1/8"), ((2, 0), "1/16"),
+        ]
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "name", ["daubechies4", "haar", "quincunx", "shear2d", "skew3", "many-small"]
+)
+def test_record_order_does_not_reach_the_taps(name):
+    path = PROBLEMS / f"{name}.json"
+    data = json.loads(MANY_SMALL_DOC if name == "many-small" else path.read_text())
+    records = data["coefficients"]
+    forward = problem_from_data(data["dimension"], data["matrix"], records)
+    backward = problem_from_data(data["dimension"], data["matrix"], records[::-1])
+    assert list(backward.mask.coefficients) == sorted(backward.mask.coefficients)
+    assert forward.mask.tap_rows.tobytes() == backward.mask.tap_rows.tobytes()
+    assert (
+        transfer_matrix(forward).matrix.tobytes()
+        == transfer_matrix(backward).matrix.tobytes()
+    )
+    steps = []
+    for problem in (forward, backward):
+        level1 = cascade_step(problem, initial_samples(problem))
+        steps.append(refinement_step(problem, level1.indices, level1.values, 2))
+    (rows_f, values_f), (rows_b, values_b) = steps
+    assert rows_f.tobytes() == rows_b.tobytes()
+    assert values_f.tobytes() == values_b.tobytes()
 
 
 class TestCosetSums:
