@@ -11,6 +11,8 @@ two independent vectors, and the half-open convention picks one of them.
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from refinable import (
     build_transfer_matrix,
     candidate_points,
@@ -40,7 +42,8 @@ def four_tap() -> None:
     print("   values on the quarter-integer lattice:")
     for k in range(0, 13):
         print(f"   phi({k}/4) = {table.levels[2][(k,)]:+.12f}")
-    checks = periodization_check(problem, table, 2, [[0.25], [0.5], [0.75]])
+    # the quarter points 1/4, 2/4 and 3/4 are the level-2 index rows 1, 2, 3
+    checks = periodization_check(problem, table, 2, np.array([[1], [2], [3]]))
     worst = max(dev for _, _, dev in checks)
     print(f"   partition-of-unity deviation at quarter probes: {worst:.3g}\n")
 

@@ -30,6 +30,7 @@ from .cascade import (
     InitialFunctionKind,
     RealBox,
     SampledFunction,
+    ValueTable,
     cascade_step,
     discrete_mass,
     empirical_support,
@@ -37,6 +38,7 @@ from .cascade import (
     initial_samples,
     m0_eval,
     refinement_step,
+    read_values,
     run_cascade,
     write_samples,
 )
@@ -61,7 +63,6 @@ from .mask import (
 from .pointwise import (
     IntegerValues,
     TransferMatrix,
-    ValueTable,
     build_transfer_matrix,
     candidate_points,
     converged_integer_values,
@@ -69,7 +70,6 @@ from .pointwise import (
     integer_values,
     lattice_points_in_bound,
     periodization_check,
-    read_values,
     refine_consistency,
     refine_values,
     resolve_values,

@@ -9,7 +9,8 @@ recurrence
 is an exact identity, so no interpolation between lattices ever happens.
 The same kernel drives both the cascade iteration here and the value
 refinement in :mod:`refinable.pointwise`, and this module alone decides how
-a lattice row is keyed (one int64 key space), looked up, merged and dumped.
+a lattice row is keyed (one int64 key space), looked up, merged, dumped
+and read back (:class:`ValueTable`, :func:`read_values`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -72,6 +74,24 @@ class SampledFunction:
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
         return dict(zip(map(tuple, self.indices.tolist()), self.values.tolist()))
+
+
+@dataclass(frozen=True)
+class ValueTable:
+    """Limit-function values phi(M^-j k) for levels j = 0..J; level j is
+    stored as the sorted index and value arrays of a SampledFunction."""
+
+    samples: dict[int, SampledFunction]
+
+    @property
+    def max_level(self) -> int:
+        return max(self.samples)
+
+    @cached_property
+    def levels(self) -> dict[int, dict[tuple[int, ...], float]]:
+        """The same values keyed by index tuples, built once on first use;
+        treat it as read-only."""
+        return {j: f.as_dict() for j, f in self.samples.items()}
 
 
 def initial_samples(problem: Problem) -> SampledFunction:
@@ -506,3 +526,40 @@ def write_samples(
     """Dump one or more cascade iterates in the shared delimited layout."""
     funcs = sorted(sampled_functions, key=lambda f: f.level)
     write_rows(stream, problem.matrix, ((f.level, f.indices, f.values) for f in funcs))
+
+
+def read_values(stream: IO[str]) -> ValueTable:
+    """Parse a delimited dump (an exported ValueTable or cascade samples)
+    into per-level arrays; values round-trip bit-exactly, and a level without
+    rows is absent.  Raises ValueError unless the header is
+    :func:`sample_header` of some d, the dump has a row, every row has its
+    2d + 2 fields and every level and index cell fits in int64."""
+    header = stream.readline().rstrip("\n")
+    dim = (header.count("\t") - 1) // 2
+    if header != sample_header(dim):
+        raise ValueError("missing or malformed header row")
+    rows = [line.split("\t") for line in stream.read().splitlines() if line]
+    if not rows:
+        raise ValueError("the dump has no rows below its header")
+    if any(len(parts) != 2 * dim + 2 for parts in rows):
+        raise ValueError(f"a row does not have the header's {2 * dim + 2} fields")
+    keys = [[int(x) for x in parts[: 1 + dim]] for parts in rows]
+    try:
+        key_array = np.array(keys, dtype=np.int64).reshape(-1, 1 + dim)
+    except OverflowError:
+        cells = [(n, c) for key in keys for n, c in zip(header.split("\t"), key)]
+        name, cell = next(nc for nc in cells if not -(2**63) <= nc[1] < 2**63)
+        raise ValueError(f"{name} cell {cell} does not fit in int64") from None
+    levels, index_rows = key_array[:, 0], key_array[:, 1:]
+    value_col = np.array([float(parts[1 + 2 * dim]) for parts in rows])
+    samples = {}
+    for level in np.unique(levels).tolist():
+        at_level = levels == level
+        indices = index_rows[at_level]
+        order, starts = _row_runs(indices)
+        if not starts.all():
+            raise ValueError(f"level {level} repeats an index")
+        samples[level] = SampledFunction(
+            level, indices.take(order, axis=0), value_col[at_level][order]
+        )
+    return ValueTable(samples)

@@ -84,8 +84,8 @@ def run_checks(problem: Problem, iters: int, levels: int, eps: float) -> list[Ch
     worst = pointwise_mod.refine_consistency(problem, table)
     record("refine-consistency", worst <= 1e-12, f"max deviation {worst:.3g}")
     top = table.samples[levels].indices
-    probes = problem.matrix.coordinates(top[:: math.ceil(len(top) / 50)], levels)
-    deviations = pointwise_mod.periodization_check(problem, table, levels, probes)
+    rows = top[:: math.ceil(len(top) / 50)]
+    deviations = pointwise_mod.periodization_check(problem, table, levels, rows)
     worst_dev = max(d for _, _, d in deviations)
     record("partition-of-unity", worst_dev <= 1e-8, f"max deviation {worst_dev:.3g}")
     return checks

@@ -256,7 +256,7 @@ def _cmd_refine(problem: Problem, args) -> int:
         print(f"warning: NonUnique: {note}")
     table = pointwise_mod.refine_values(problem, level0, args.levels)
     for i, (level, sampled) in enumerate(sorted(table.samples.items())):
-        single = pointwise_mod.ValueTable({level: sampled})
+        single = cascade_mod.ValueTable({level: sampled})
         with _open_dump(args, level, i == 0) as handle:
             pointwise_mod.export_values(problem, single, handle)
         print(f"level {level}: {len(sampled.values)} lattice points -> {handle.name}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -83,11 +84,6 @@ class IntMatrix:
             for i in range(self.dim)
             for j in range(self.dim)
             if i != j
-        )
-
-    def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            sum(a * int(v) for a, v in zip(row, vector)) for row in self.rows
         )
 
 
@@ -406,6 +402,37 @@ def _null_space(matrix: np.ndarray, rtol: float, floor: float) -> tuple[np.ndarr
     return sing, vt[rank:] * signs, np.ascontiguousarray(u[:, rank:].T) * signs
 
 
+def _rank(matrix: IntMatrix) -> int:
+    """The exact rank of an integer matrix, by Gaussian elimination in
+    Fractions."""
+    rows = [[Fraction(x) for x in row] for row in matrix.rows]
+    rank = 0
+    for col in range(matrix.dim):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _exact_nullities(matrix: IntMatrix, lam: int, top: int) -> list[int]:
+    """The nullities of (M - lam I)^k for k = 0..top, from exact integer
+    powers and exact ranks."""
+    d = matrix.dim
+    nmat = IntMatrix(tuple(
+        tuple(x - lam * (i == j) for j, x in enumerate(row)) for i, row in enumerate(matrix.rows)
+    ))
+    nullities, power = [0], nmat
+    for _ in range(top):
+        nullities.append(d - _rank(power))
+        power = _matmul(power, nmat)
+    return nullities
+
+
 def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure:
     """Real Jordan decomposition M = C G C^-1, with blocks grouped by
     distinct eigenvalue and generalized-eigenvector chains as columns.
@@ -416,6 +443,10 @@ def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure
     singular vectors of ker N^k projected off ker N^(k-1) and the taller
     chains mapped down to height k.  A chain is v, Nv, ..., N^(k-1)v, which
     matches a Jordan matrix carrying ones on the subdiagonal.
+
+    Where a multiple eigenvalue is an integer, the rank tests are compared
+    with the exact nullities of the integer powers, and a disagreement is
+    refused with IllConditionedTransform rather than given as wrong blocks.
     """
     if not spec.all_real:
         raise ComplexSpectrum(
@@ -471,6 +502,12 @@ def _real_jordan_structure(matrix: IntMatrix, spec: Spectrum) -> JordanStructure
                 chains.append([top])
                 for _ in range(k - 1):
                     chains[-1].append(nmat @ chains[-1][-1])
+        # the rank tests n_0..n_s, without the n_(s+1) = n_s appended above
+        if mult > 1 and lam.is_integer():
+            if nullities[:-1] != _exact_nullities(matrix, int(lam), len(nullities) - 2):
+                raise IllConditionedTransform(
+                    f"numerical ranks of (M - {lam} I)^k disagree with the exact ranks"
+                )
         for chain in chains:
             scale = max(np.linalg.norm(v) for v in chain)
             blocks.append((lam, len(chain)))

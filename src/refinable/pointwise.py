@@ -14,13 +14,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
 from .bounds import SupportBound, best_bound, enclosing_integer_box
 from .cascade import (
     SampledFunction,
+    ValueTable,
     _hull_keys,
     _locate,
     _refuse_scatter,
@@ -28,7 +29,6 @@ from .cascade import (
     _search,
     initial_samples,
     refinement_step,
-    sample_header,
     write_rows,
 )
 from .errors import (
@@ -42,7 +42,7 @@ from .errors import (
     NormalizationImpossible,
     NoUnitEigenvalue,
 )
-from .linalg import _INDEX_LIMIT, CONDITION_LIMIT, _null_space
+from .linalg import CONDITION_LIMIT, _null_space
 from .mask import _ENUMERATION_CAP, Problem, per_problem
 
 UNIT_EIGENVALUE_TOL = 1e-9
@@ -342,24 +342,6 @@ def resolve_values(
 # refinement to finer lattice levels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValueTable:
-    """Limit-function values phi(M^-j k) for levels j = 0..J; level j is
-    stored as the sorted index and value arrays of a SampledFunction."""
-
-    samples: dict[int, SampledFunction]
-
-    @property
-    def max_level(self) -> int:
-        return max(self.samples)
-
-    @cached_property
-    def levels(self) -> dict[int, dict[tuple[int, ...], float]]:
-        """The same values keyed by index tuples, built once on first use;
-        treat it as read-only."""
-        return {j: f.as_dict() for j, f in self.samples.items()}
-
-
 def _with_images(
     indices: np.ndarray, values: np.ndarray, images: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -445,31 +427,26 @@ def periodization_check(
     problem: Problem,
     table: ValueTable,
     level: int,
-    probes: Sequence[Sequence[float]],
-) -> tuple[tuple[tuple[float, ...], float, float], ...]:
-    """For each probe x on the level-j lattice, sum the stored values over
-    the integer translates x + k and report (probe, total, |total - 1|).
+    rows: np.ndarray,
+) -> tuple[tuple[tuple[int, ...], float, float], ...]:
+    """For each level-j index row k, the lattice point x = M^-j k, sum the
+    stored values over the integer translates x + n and report (k, total,
+    |total - 1|).
 
-    A stored index k' samples x + k exactly when k' = M^j x (mod M^j Z^d),
-    so the stored values are grouped by residue class
+    A stored index k' samples x + n exactly when k' = k (mod M^j Z^d), so
+    the stored values are grouped by residue class
     (:meth:`DilationMatrix.residues`) and each class adds its values in
-    stored order.  At level 0 every stored value counts.
+    stored order.  At level 0 every stored value counts.  Refused with
+    ValueError unless ``rows`` is a signed integer array.
     """
     if level not in table.samples:
         raise ValueError(f"table has no level {level}")
+    rows = np.asarray(rows)
+    if rows.dtype.kind != "i":
+        raise ValueError(f"level-{level} index rows must be integers, not {rows.dtype}")
+    rows = rows.astype(np.int64).reshape(-1, problem.dim)
     stored = table.samples[level]
-    x = np.asarray(probes, dtype=float).reshape(-1, problem.dim)
-    kx_float = x @ problem.matrix.power(level).as_array().T
-    kx = np.round(kx_float)
-    off = np.max(np.abs(kx_float - kx), axis=1, initial=0.0) > 1e-6
-    if off.any():
-        probe = tuple(x[int(np.argmax(off))].tolist())
-        raise ValueError(f"probe {probe} is not on the level-{level} lattice")
-    if np.any(np.abs(kx) >= _INDEX_LIMIT):
-        raise IndexOverflow(f"level-{level} probe indices do not fit in int64")
-    keys = problem.matrix.residues(
-        level, np.concatenate([stored.indices, kx.astype(np.int64)])
-    )
+    keys = problem.matrix.residues(level, np.concatenate([stored.indices, rows]))
     order, starts = _row_runs(keys)
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
@@ -477,8 +454,9 @@ def periodization_check(
     # bincount adds each class's values in stored order, starting from 0.0
     sums = np.bincount(inverse[:n], weights=stored.values, minlength=np.count_nonzero(starts))
     totals = sums[inverse[n:]].tolist()
-    probes = map(tuple, x.tolist())
-    return tuple((probe, total, abs(total - 1.0)) for probe, total in zip(probes, totals))
+    return tuple(
+        (tuple(row), total, abs(total - 1.0)) for row, total in zip(rows.tolist(), totals)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,38 +470,3 @@ def export_values(problem: Problem, table: ValueTable, stream: IO[str]) -> None:
         problem.matrix,
         ((j, f.indices, f.values) for j, f in sorted(table.samples.items())),
     )
-
-
-def read_values(stream: IO[str]) -> ValueTable:
-    """Parse a delimited dump (an exported ValueTable or cascade samples)
-    into per-level arrays; values round-trip bit-exactly, and a level without
-    rows is absent.  Raises ValueError unless the header is
-    :func:`sample_header` of some d, every row has its 2d + 2 fields and
-    every level and index cell fits in int64."""
-    header = stream.readline().rstrip("\n")
-    dim = (header.count("\t") - 1) // 2
-    if header != sample_header(dim):
-        raise ValueError("missing or malformed header row")
-    rows = [line.split("\t") for line in stream.read().splitlines() if line]
-    if any(len(parts) != 2 * dim + 2 for parts in rows):
-        raise ValueError(f"a row does not have the header's {2 * dim + 2} fields")
-    keys = [[int(x) for x in parts[: 1 + dim]] for parts in rows]
-    try:
-        key_array = np.array(keys, dtype=np.int64).reshape(-1, 1 + dim)
-    except OverflowError:
-        cells = [(n, c) for key in keys for n, c in zip(header.split("\t"), key)]
-        name, cell = next(nc for nc in cells if not -(2**63) <= nc[1] < 2**63)
-        raise ValueError(f"{name} cell {cell} does not fit in int64") from None
-    levels, index_rows = key_array[:, 0], key_array[:, 1:]
-    value_col = np.array([float(parts[1 + 2 * dim]) for parts in rows])
-    samples = {}
-    for level in np.unique(levels).tolist():
-        at_level = levels == level
-        indices = index_rows[at_level]
-        order, starts = _row_runs(indices)
-        if not starts.all():
-            raise ValueError(f"level {level} repeats an index")
-        samples[level] = SampledFunction(
-            level, indices.take(order, axis=0), value_col[at_level][order]
-        )
-    return ValueTable(samples)

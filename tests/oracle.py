@@ -1,5 +1,7 @@
 """Independent oracles the tests compare the library against, bit for bit.
 
+For lattice images: M k as a Python-int matrix-vector product.
+
 For powers and inverse powers: a ``Fraction`` Gauss-Jordan inverse and
 rational matrix products, with every float derived from them by one
 rounding per entry.  The library memoizes M^n and keeps M^-n as the integer
@@ -45,6 +47,11 @@ from refinable.linalg import (
     _poly_eval,
 )
 from refinable.pointwise import _ESCAPE_RTOL
+
+
+def apply(matrix, vector):
+    """M k in Python ints, for an IntMatrix M and an integer vector k."""
+    return tuple(sum(a * int(v) for a, v in zip(row, vector)) for row in matrix.rows)
 
 
 def fraction_inverse(matrix):

@@ -213,10 +213,8 @@ def test_c7_conservation_and_consistency(haar_problem, d4_problem, quincunx_prob
                 assert upper is not None
                 assert abs(upper - value) <= 1e-12
 
-    haar_checks = periodization_check(
-        haar_problem, haar_table, 3, [[0.0], [0.375], [0.625]]
-    )
-    d4_checks = periodization_check(d4_problem, d4_table, 2, [[0.25], [0.5], [0.75]])
+    haar_checks = periodization_check(haar_problem, haar_table, 3, np.array([[0], [3], [5]]))
+    d4_checks = periodization_check(d4_problem, d4_table, 2, np.array([[1], [2], [3]]))
     for _, _, deviation in (*haar_checks, *d4_checks):
         assert deviation <= 1e-8
     _passed("criterion 7 (mass, cross-level consistency, partition of unity)")

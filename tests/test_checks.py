@@ -123,7 +123,7 @@ def perturb_one_refined_value(monkeypatch):
         # phi_1 at the origin, the image M 0 of a level-0 row, off by 1e-6
         origin = np.all(level1.indices == 0, axis=1)
         values = level1.values + 1e-6 * origin
-        return pointwise.ValueTable({**table.samples, 1: replace(level1, values=values)})
+        return cascade.ValueTable({**table.samples, 1: replace(level1, values=values)})
     monkeypatch.setattr(pointwise, "refine_values", perturbed)
 
 
@@ -135,7 +135,7 @@ def drop_one_top_level_row(monkeypatch):
         top = table.samples[levels]
         keep = np.arange(len(top.values)) != np.argmax(np.abs(top.values))
         top = replace(top, indices=top.indices[keep], values=top.values[keep])
-        return pointwise.ValueTable({**table.samples, levels: top})
+        return cascade.ValueTable({**table.samples, levels: top})
     monkeypatch.setattr(pointwise, "refine_values", dropped)
 
 

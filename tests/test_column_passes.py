@@ -26,6 +26,7 @@ from refinable.cascade import (
 )
 from refinable.pointwise import _locate, _with_images
 
+from oracle import apply
 from test_kernel_writer import dilations, reference_step
 from test_value_arrays import refine_cases
 
@@ -224,7 +225,7 @@ def per_tap_transfer(problem, points):
     matrix = np.zeros((len(points), len(points)))
     for q, c in problem.mask.coefficients.items():
         for i, k in enumerate(points):
-            image = problem.matrix.matrix.apply(k)
+            image = apply(problem.matrix.matrix, k)
             j = column.get(tuple(a - b for a, b in zip(image, q)))
             if j is not None:
                 matrix[i, j] = m * c

@@ -10,11 +10,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from refinable import problem_from_data
-from refinable.cascade import SampledFunction
+from refinable.cascade import SampledFunction, ValueTable
 from refinable.errors import EnumerationTooLarge, IndexOverflow
 from refinable.linalg import DilationMatrix, IntMatrix
 from refinable.mask import COSET_UNIFORM_TOL, _coset_representatives, coset_sum_report
-from refinable.pointwise import ValueTable, periodization_check
+from refinable.pointwise import periodization_check
 
 from oracle import adjugate, determinant, fraction_inverse, fraction_inverse_power
 
@@ -67,27 +67,22 @@ def reference_coset_sums(problem):
     return tuple(reps), tuple(sums), uniform
 
 
-def reference_periodization(problem, table, level, probes):
+def reference_periodization(problem, table, level, rows):
     stored = table.samples[level]
-    power = problem.matrix.power(level)
     inv_power = fraction_inverse_power(problem.matrix.matrix, level) if level else None
     results = []
-    for probe in probes:
-        x = tuple(float(v) for v in probe)
-        kx_float = np.asarray(power.as_array() @ np.asarray(x))
-        kx = tuple(int(round(v)) for v in kx_float)
-        if np.max(np.abs(kx_float - np.asarray(kx, dtype=float))) > 1e-6:
-            raise ValueError(f"probe {x} is not on the level-{level} lattice")
+    for row in rows:
+        k = tuple(int(v) for v in row)
         total = 0.0
         for idx, value in zip(stored.indices.tolist(), stored.values.tolist()):
-            delta = [a - b for a, b in zip(idx, kx)]
+            delta = [a - b for a, b in zip(idx, k)]
             if level == 0:
                 integral = True
             else:
                 integral = all(f.denominator == 1 for f in apply(inv_power, delta))
             if integral:
                 total += value
-        results.append((x, total, abs(total - 1.0)))
+        results.append((k, total, abs(total - 1.0)))
     return tuple(results)
 
 
@@ -128,22 +123,21 @@ def problems(draw):
 @st.composite
 def tables(draw):
     """A problem and a value table on levels 0..2 with arbitrary values (the
-    congruence test does not need a refinable table), plus probes on each
-    level's lattice."""
+    congruence test does not need a refinable table), plus index rows of
+    each level to probe."""
     problem = draw(problems())
     d = problem.dim
     index = st.tuples(*[st.integers(-12, 12)] * d)
     value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, width=64)
-    samples, probes = {}, {}
+    samples, rows = {}, {}
     for level in range(3):
         keys = sorted(draw(st.lists(index, min_size=0, max_size=40, unique=True)))
         indices = np.asarray(keys, dtype=np.int64).reshape(len(keys), d)
         values = np.asarray(draw(st.lists(value, min_size=len(keys), max_size=len(keys))))
         samples[level] = SampledFunction(level, indices, values)
         ks = draw(st.lists(index, min_size=1, max_size=6))
-        inv = problem.matrix.inverse_power_array(level)
-        probes[level] = [tuple((np.asarray(k, dtype=float) @ inv.T).tolist()) for k in ks]
-    return problem, ValueTable(samples), probes
+        rows[level] = np.asarray(ks, dtype=np.int64).reshape(len(ks), d)
+    return problem, ValueTable(samples), rows
 
 
 SETTINGS = settings(
@@ -165,14 +159,40 @@ def test_coset_sums_match_fraction_solves(problem):
 @SETTINGS
 @given(tables())
 def test_periodization_matches_fraction_solves(case):
-    problem, table, probes = case
+    problem, table, rows = case
     for level in range(3):
-        new = periodization_check(problem, table, level, probes[level])
-        old = reference_periodization(problem, table, level, probes[level])
-        assert [p for p, _, _ in new] == [p for p, _, _ in old]
-        for (_, total, dev), (_, total_old, dev_old) in zip(new, old):
-            assert np.float64(total).tobytes() == np.float64(total_old).tobytes()
-            assert np.float64(dev).tobytes() == np.float64(dev_old).tobytes()
+        assert_same_periodization(problem, table, level, rows[level])
+
+
+def assert_same_periodization(problem, table, level, rows):
+    new = periodization_check(problem, table, level, rows)
+    old = reference_periodization(problem, table, level, rows)
+    assert [k for k, _, _ in new] == [k for k, _, _ in old]
+    for (_, total, dev), (_, total_old, dev_old) in zip(new, old):
+        assert np.float64(total).tobytes() == np.float64(total_old).tobytes()
+        assert np.float64(dev).tobytes() == np.float64(dev_old).tobytes()
+
+
+@pytest.mark.parametrize("rows", [[[2]], [[-3]], [[1, 1], [-1, 1]], [[2, 1], [0, 2]]])
+def test_periodization_of_rows_near_two_to_the_60(rows):
+    # k and k + 1 near 2^60 are the same float, so no float coordinate could
+    # tell their residue classes apart
+    problem = problem_from_data(len(rows), rows, [{"q": [0] * len(rows), "c": "1/1"}])
+    d = problem.dim
+    rng = np.random.default_rng(d)
+    near = 2**60 + rng.integers(-6, 7, size=(40, d))
+    near[::2] *= -1
+    keys = sorted(set(map(tuple, near.tolist())))
+    samples = {
+        level: SampledFunction(
+            level, np.asarray(keys, dtype=np.int64), rng.standard_normal(len(keys))
+        )
+        for level in (1, 2)
+    }
+    table = ValueTable(samples)
+    probe_rows = np.concatenate([near[:8], near[:8] + 1, np.zeros((1, d), dtype=np.int64)])
+    for level in (1, 2):
+        assert_same_periodization(problem, table, level, probe_rows)
 
 
 # ---------------------------------------------------------------------------

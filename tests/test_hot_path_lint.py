@@ -27,8 +27,6 @@ SORTS = {"unique", "sort", "sorted", "argsort", "lexsort"}
 
 # (module, enclosing function, called name) -> why the call may stay
 ALLOWED = {
-    ("pointwise.py", "periodization_check", "max"):
-        "probe rows, a handful per call, not a lattice level",
     ("bounds.py", "_row_norms", "norm"):
         "rows of eight or more coordinates, whose pairwise sum numpy defines",
 }

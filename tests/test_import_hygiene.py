@@ -24,8 +24,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # re-exported names that only the tests read -> why the package exports them
 TEST_ONLY_EXPORTS = {
-    "read_values": "reads back the value tables refine writes; the tests "
-                   "round-trip every dump through it",
     "serialize_problem": "writes the canonical document parse_problem reads; "
                          "the tests round-trip problems through it",
 }

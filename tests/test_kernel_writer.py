@@ -20,7 +20,7 @@ from refinable.cascade import (
 from refinable.errors import EnumerationTooLarge, IndexOverflow, RefinableError
 from refinable.linalg import DilationMatrix
 
-from oracle import fraction_power, per_row_reference
+from oracle import apply, fraction_power, per_row_reference
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 SKEW3 = PROBLEMS / "skew3.json"
@@ -37,7 +37,7 @@ def reference_step(problem, indices, values, step):
     m = float(problem.m)
     acc = {}
     for q, coeff in problem.mask.coefficients.items():
-        shift = power.apply(q)
+        shift = apply(power, q)
         for idx, value in zip(indices.tolist(), values.tolist()):
             key = tuple(a + b for a, b in zip(idx, shift))
             acc[key] = acc.get(key, 0.0) + value * (m * coeff)

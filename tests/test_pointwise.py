@@ -304,9 +304,7 @@ class TestRefineValues:
 class TestPeriodization:
     def test_haar_dyadic_probes_exact(self, haar_problem):
         table = refine_values(haar_problem, seed_from({(0,): 1.0, (1,): 0.0}), 3)
-        checks = periodization_check(
-            haar_problem, table, 3, [[0.0], [0.125], [0.5], [0.875]]
-        )
+        checks = periodization_check(haar_problem, table, 3, np.array([[0], [1], [4], [7]]))
         for _, total, deviation in checks:
             assert total == 1.0
             assert deviation == 0.0
@@ -315,14 +313,14 @@ class TestPeriodization:
         transfer = build_transfer_matrix(d4_problem, candidate_points(d4_problem))
         values = integer_values(transfer).values
         table = refine_values(d4_problem, values, 2)
-        checks = periodization_check(d4_problem, table, 2, [[0.25], [0.5], [0.75]])
+        checks = periodization_check(d4_problem, table, 2, np.array([[1], [2], [3]]))
         for _, _, deviation in checks:
             assert deviation <= 1e-8
 
-    def test_off_lattice_probe_rejected(self, haar_problem):
+    def test_non_integer_rows_rejected(self, haar_problem):
         table = refine_values(haar_problem, seed_from({(0,): 1.0}), 1)
-        with pytest.raises(ValueError):
-            periodization_check(haar_problem, table, 1, [[1.0 / 3.0]])
+        with pytest.raises(ValueError, match="must be integers, not float64"):
+            periodization_check(haar_problem, table, 1, np.array([[1.0 / 3.0]]))
 
 
 class TestExport:

@@ -1,7 +1,7 @@
 """The bench harness's tracer still fits the library: ``bench/tracing.py``,
 imported as it is, wraps the library's functions, and a traced run of the
-value, refine and cascade subcommands records every hooked span with its
-sizes and without an error.  A change of what those functions take or
+value, refine, cascade, check, analyze and bound subcommands records every
+hooked span with its sizes and without an error.  A change of what those functions take or
 return would otherwise break only traced benchmark runs."""
 
 import importlib.util
@@ -36,6 +36,9 @@ def test_traced_runs_record_every_hooked_span(name, tmp_path, monkeypatch):
         ["values", doc, "--left-closed"],
         ["refine", doc, "--left-closed", "--levels", "2", "--outdir", str(tmp_path)],
         ["cascade", doc, "--iters", "3", "--outdir", str(tmp_path)],
+        ["check", doc, "--levels", "2"],
+        ["analyze", doc],
+        ["bound", doc],
     ]
     original = pointwise.refine_values
     tracer = tracing.Tracer()
@@ -56,7 +59,7 @@ def test_traced_runs_record_every_hooked_span(name, tmp_path, monkeypatch):
         "pointwise.build_transfer_matrix", "pointwise.integer_values",
         "pointwise.refine_values", "pointwise.export_values",
         "cascade.refinement_step", "cascade.cascade_step", "cascade.write_samples",
-        "pointwise.converged_integer_values",
+        "pointwise.converged_integer_values", "pointwise.periodization_check",
     }
     assert expected <= {s.name for s in tracer.spans}
     refine = next(s for s in hooked if s.name == "pointwise.refine_values")

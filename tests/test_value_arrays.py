@@ -32,7 +32,7 @@ from refinable.errors import (
 )
 from refinable.pointwise import _enumeration_halves
 
-from oracle import reference_refine, seed_from
+from oracle import apply, reference_refine, seed_from
 from test_kernel_writer import MATRICES, dilations
 
 # enumeration boxes above this many points make an example too slow
@@ -48,7 +48,7 @@ def reference_consistency(problem, table):
     worst = 0.0
     for level in range(1, max(table) + 1):
         for idx, value in table[level - 1].items():
-            upper = table[level].get(problem.matrix.matrix.apply(idx))
+            upper = table[level].get(apply(problem.matrix.matrix, idx))
             if upper is not None:
                 worst = max(worst, abs(upper - value))
     return worst
@@ -61,7 +61,7 @@ def reference_transfer(problem, points):
     n = len(points)
     matrix = np.zeros((n, n))
     for i, ki in enumerate(points):
-        mki = problem.matrix.matrix.apply(ki)
+        mki = apply(problem.matrix.matrix, ki)
         for j, kj in enumerate(points):
             c = coeffs.get(tuple(a - b for a, b in zip(mki, kj)))
             if c is not None:
@@ -152,7 +152,7 @@ def test_refine_matches_dict_reference(case):
         left_out = [v for k, v in oracle.items() if k not in stored]
         assert np.all(bits(left_out) == bits(0.0))
         if level:
-            images = {problem.matrix.matrix.apply(k) for k in got[level - 1]}
+            images = {apply(problem.matrix.matrix, k) for k in got[level - 1]}
             assert images <= set(stored)
     for level, sampled in table.samples.items():
         assert sampled.level == level
@@ -247,6 +247,12 @@ def test_read_sorts_rows_and_rejects_repeats():
     assert sorted(table.samples) == [2]
     with pytest.raises(ValueError, match="repeats"):
         read_values(io.StringIO(header + rows[0] + "\n" + rows[0] + "\n"))
+
+
+@pytest.mark.parametrize("text", ["level\tk0\tx0\tvalue\n", "level\tk0\tx0\tvalue\n\n"])
+def test_read_refuses_a_dump_without_rows(text):
+    with pytest.raises(ValueError, match="^the dump has no rows below its header$"):
+        read_values(io.StringIO(text))
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
