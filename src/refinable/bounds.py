@@ -5,8 +5,9 @@ function, derived from the mask radius Q and the contraction behaviour of
 the inverse dilation matrix:
 
 * a Euclidean ball of radius Q ||M^-1|| / (1 - ||M^-1||) when the inverse
-  is norm-contractive;
-* per-coordinate boxes for 1-D and diagonal matrices, |x_k| <= Q/(|l_k|-1);
+  is norm-contractive, the iterated-norm ball below at k = 1;
+* per-coordinate boxes for 1-D and diagonal matrices, |x_k| <= Q/(|l_k|-1),
+  the 1-D rule on each axis;
 * a transformed parallelepiped C P for any real spectrum, built block by
   block from the Jordan structure;
 * an iterated-norm fallback that works for every dilation matrix by taking
@@ -149,15 +150,15 @@ SupportBound = Ball | Box | TransformedBox
 # ---------------------------------------------------------------------------
 
 def ball_bound(problem: Problem) -> Ball:
-    """Ball of radius Q ||M^-1|| / (1 - ||M^-1||); needs ||M^-1|| < 1."""
+    """Ball of radius Q ||M^-1|| / (1 - ||M^-1||), the iterated-norm ball
+    of :func:`general_ball_bound` at k = 1; needs ||M^-1|| < 1."""
     nrm = problem.matrix.inverse_norm
     if nrm >= 1.0:
         raise NormNotContractive(
             f"||M^-1|| = {nrm:.6g} >= 1; use general_ball_bound or "
             f"parallelepiped_bound"
         )
-    radius = problem.mask.radius * nrm / (1.0 - nrm)
-    return Ball(radius, problem.dim, "norm-ball")
+    return Ball(general_ball_bound(problem).radius, problem.dim, "norm-ball")
 
 
 def finite_level_ball(problem: Problem, initial_radius: float, level: int) -> float:
@@ -213,17 +214,12 @@ def bound_1d(m: int, radius: float) -> float:
 
 
 def diagonal_bound(problem: Problem) -> Box:
-    """Per-coordinate half-widths Q / (|l_k| - 1) for a diagonal matrix."""
+    """Per-coordinate half-widths Q / (|l_k| - 1) for a diagonal matrix,
+    :func:`bound_1d` on each diagonal entry l_k."""
     mat = problem.matrix.matrix
     if not mat.is_diagonal():
         raise NotDiagonal("matrix is not diagonal")
-    q = problem.mask.radius
-    halves = []
-    for i in range(mat.dim):
-        lam = abs(mat.rows[i][i])
-        if lam <= 1:
-            raise NotDilationEigenvalue(f"diagonal entry {mat.rows[i][i]} has modulus <= 1")
-        halves.append(q / (lam - 1))
+    halves = [bound_1d(mat.rows[i][i], problem.mask.radius) for i in range(mat.dim)]
     return Box(tuple(halves), "diagonal")
 
 

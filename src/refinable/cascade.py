@@ -25,7 +25,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .errors import EnumerationTooLarge, IndexOverflow, NonFiniteArithmetic
-from .linalg import _INDEX_LIMIT, DilationMatrix
+from .linalg import _INDEX_LIMIT, DilationMatrix, _index_rows
 from .mask import Mask, Problem
 
 DEFAULT_SUPPORT_EPS = 1e-12
@@ -69,6 +69,7 @@ class SampledFunction:
             raise ValueError("level must be nonnegative")
         if self.indices.ndim != 2 or len(self.indices) != len(self.values):
             raise ValueError("indices and values must align")
+        _index_rows(self.indices, self.indices.shape[1], "indices")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
 
@@ -232,14 +233,25 @@ def refinement_step(
     argsort merges the taps' sorted runs of keys and ``bincount`` sums each
     run in tap order (:func:`_merge_runs`).  This function is the single
     kernel shared by :func:`cascade_step` and value refinement.
+
+    ``indices`` must be signed integer ``(n, d)`` rows (ValueError).  A step
+    that would scatter more than ``_SCATTER_CAP`` rows is refused with
+    EnumerationTooLarge before anything is allocated.
     """
     if step < 1:
         raise ValueError("step must be positive")
-    shifts = problem.matrix.images(problem.mask.tap_rows, step - 1)
     d = problem.dim
-    if len(indices) == 0:
+    indices = _index_rows(indices, d)
+    taps, samples = len(problem.mask.tap_rows), len(indices)
+    if taps * samples > _SCATTER_CAP:
+        raise EnumerationTooLarge(
+            f"level {step} would scatter {taps * samples} rows "
+            f"({taps} taps x {samples} samples), above the cap of {_SCATTER_CAP}"
+        )
+    shifts = problem.matrix.images(problem.mask.tap_rows, step - 1)
+    if samples == 0:
         return np.zeros((0, d), dtype=np.int64), np.zeros(0)
-    indices = np.asarray(indices, dtype=np.int64)  # keys are computed in int64
+    indices = indices.astype(np.int64, copy=False)  # keys are computed in int64
     # Row arrays are (n, d) with d small, and numpy reduces or broadcasts
     # along such an array in inner loops of length d, one call per row: one
     # contiguous pass per column is 8-20x faster, so the hull and the keys
@@ -280,23 +292,8 @@ def refinement_step(
     return out, sums
 
 
-def _refuse_scatter(problem: Problem, samples: int, level: int, stage: str) -> None:
-    """Raise EnumerationTooLarge when the kernel step to ``level`` from
-    ``samples`` rows would scatter more than ``_SCATTER_CAP`` rows."""
-    taps = len(problem.mask.coefficients)
-    scatter = taps * samples
-    if scatter > _SCATTER_CAP:
-        raise EnumerationTooLarge(
-            f"{stage} level {level} would scatter {scatter} rows "
-            f"({taps} taps x {samples} samples), above the cap of {_SCATTER_CAP}"
-        )
-
-
 def cascade_step(problem: Problem, sampled: SampledFunction) -> SampledFunction:
-    """Advance the cascade one level, keeping every reachable index.  A level
-    that would scatter more than ``_SCATTER_CAP`` rows is refused with
-    EnumerationTooLarge before the kernel allocates anything."""
-    _refuse_scatter(problem, len(sampled.values), sampled.level + 1, "cascade")
+    """Advance the cascade one level, keeping every reachable index."""
     indices, values = refinement_step(
         problem, sampled.indices, sampled.values, sampled.level + 1
     )

@@ -46,6 +46,17 @@ NEWTON_MAX_ITER = 60
 _INDEX_LIMIT = 2**62
 
 
+def _index_rows(rows, dim: int, what: str = "index rows") -> np.ndarray:
+    """``rows`` as an array, refused with ValueError unless it holds signed
+    integer rows of width ``dim``; ``what`` names the rows in the message."""
+    rows = np.asarray(rows)
+    if rows.dtype.kind != "i":
+        raise ValueError(f"{what} must be integers, not {rows.dtype}")
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise ValueError(f"{what} must have width {dim}, not shape {rows.shape}")
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # matrix containers
 # ---------------------------------------------------------------------------
@@ -687,13 +698,14 @@ class DilationMatrix:
         M^-n = adj(M)^n / det^n, so v lies in M^n Z^d exactly when
         adj(M)^n v = 0 (mod |det|^n).  The rows of adj(M)^n v mod |det|^n
         are returned as int64; two indices are congruent exactly when their
-        rows are equal.  At n = 0 every row is zero.
+        rows are equal.  At n = 0 every row is zero.  Refused with ValueError
+        unless ``indices`` are signed integer rows of width d.
         """
         modulus = self.m**n
         if modulus >= 2**63:
             raise IndexOverflow(f"residues modulo {self.m}^{n} do not fit in int64")
         adj = [[x % modulus for x in row] for row in self.adjugate_power(n).rows]
-        vectors = np.asarray(indices, dtype=np.int64).reshape(-1, self.dim) % modulus
+        vectors = _index_rows(indices, self.dim).astype(np.int64) % modulus
         # with both factors reduced, a dot product stays below d (modulus - 1)^2
         dtype = np.int64 if self.dim * (modulus - 1) ** 2 < 2**63 else object
         images = vectors.astype(dtype) @ np.asarray(adj, dtype=dtype).T

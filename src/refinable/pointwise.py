@@ -24,7 +24,6 @@ from .cascade import (
     ValueTable,
     _hull_keys,
     _locate,
-    _refuse_scatter,
     _row_runs,
     _search,
     initial_samples,
@@ -42,7 +41,7 @@ from .errors import (
     NormalizationImpossible,
     NoUnitEigenvalue,
 )
-from .linalg import CONDITION_LIMIT, _null_space
+from .linalg import CONDITION_LIMIT, _index_rows, _null_space
 from .mask import _ENUMERATION_CAP, Problem, per_problem
 
 UNIT_EIGENVALUE_TOL = 1e-9
@@ -270,9 +269,11 @@ def _eigenspace(problem: Problem) -> IntegerValues:
 def _on_candidates(points: np.ndarray, seed: SampledFunction) -> np.ndarray:
     """The values of the level-0 function ``seed`` at the candidate
     ``points``, zero where it has no row.  A seed row outside the candidates
-    raises DomainTooSmall, a repeated one ValueError."""
+    raises DomainTooSmall, a repeated one or one not as wide as the points
+    ValueError."""
     if seed.level != 0:
         raise ValueError("the seed must be a level-0 function")
+    _index_rows(seed.indices, points.shape[1], "seed indices")
     try:
         pos, found = _locate(points, seed.indices)
     except IndexOverflow:
@@ -393,7 +394,6 @@ def refine_values(
         _enumeration_halves(problem, bound, level)
     samples = {0: SampledFunction(0, indices, values)}
     for level in range(1, levels + 1):
-        _refuse_scatter(problem, len(indices), level, "refinement")
         indices, values = refinement_step(problem, indices, values, level)
         inside = bound.contains_many(problem.matrix.coordinates(indices, level))
         escaped = np.abs(values[~inside])
@@ -437,14 +437,11 @@ def periodization_check(
     the stored values are grouped by residue class
     (:meth:`DilationMatrix.residues`) and each class adds its values in
     stored order.  At level 0 every stored value counts.  Refused with
-    ValueError unless ``rows`` is a signed integer array.
+    ValueError unless ``rows`` are signed integer rows of width d.
     """
     if level not in table.samples:
         raise ValueError(f"table has no level {level}")
-    rows = np.asarray(rows)
-    if rows.dtype.kind != "i":
-        raise ValueError(f"level-{level} index rows must be integers, not {rows.dtype}")
-    rows = rows.astype(np.int64).reshape(-1, problem.dim)
+    rows = _index_rows(rows, problem.dim, f"level-{level} index rows").astype(np.int64)
     stored = table.samples[level]
     keys = problem.matrix.residues(level, np.concatenate([stored.indices, rows]))
     order, starts = _row_runs(keys)

@@ -3,6 +3,7 @@
 import cmath
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -84,17 +85,25 @@ class TestCascadeStep:
 
     def test_scatter_cap_is_checked_before_the_kernel(self, d4_problem, monkeypatch):
         level3 = run_cascade(d4_problem, BOX, 3)[3]
-        scatter = 4 * len(level3.values)
+        samples = len(level3.values)
+        scatter = 4 * samples
         monkeypatch.setattr(cascade_mod, "_SCATTER_CAP", scatter)
         assert cascade_step(d4_problem, level3).level == 4
 
-        def no_kernel(*args):
-            raise AssertionError("the kernel ran before the scatter cap was checked")
+        def no_merge(*args):
+            raise AssertionError("the kernel merged before the scatter cap was checked")
 
         monkeypatch.setattr(cascade_mod, "_SCATTER_CAP", scatter - 1)
-        monkeypatch.setattr(cascade_mod, "refinement_step", no_kernel)
-        with pytest.raises(EnumerationTooLarge, match=f"would scatter {scatter} rows"):
+        monkeypatch.setattr(cascade_mod, "_merge_runs", no_merge)
+        message = re.escape(
+            f"level 4 would scatter {scatter} rows (4 taps x {samples} samples), "
+            f"above the cap of {scatter - 1}"
+        )
+        with pytest.raises(EnumerationTooLarge, match=f"^{message}$"):
             cascade_step(d4_problem, level3)
+        # the kernel refuses on its own, whoever calls it
+        with pytest.raises(EnumerationTooLarge, match=f"^{message}$"):
+            refinement_step(d4_problem, level3.indices, level3.values, 4)
 
 
 class TestMassConservation:

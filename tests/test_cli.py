@@ -359,8 +359,19 @@ class TestErrorPaths:
             tmp_path, "comb16", 1, [[16]],
             [{"q": [q], "c": "1/256"} for q in range(256)],
         )
+        # the CLI, with a merge that fails on any scatter over the cap
+        main = (
+            "import sys\n"
+            "from refinable import cascade, cli\n"
+            "merge = cascade._merge_runs\n"
+            "def capped_merge(keys, weights):\n"
+            "    assert len(keys) <= cascade._SCATTER_CAP, 'an over-cap scatter was merged'\n"
+            "    return merge(keys, weights)\n"
+            "cascade._merge_runs = capped_merge\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
         result = subprocess.run(
-            [sys.executable, "-m", "refinable", "refine", str(doc), "--levels", "4",
+            [sys.executable, "-c", main, "refine", str(doc), "--levels", "4",
              "--outdir", str(tmp_path / "dumps")],
             capture_output=True,
             text=True,
@@ -370,7 +381,10 @@ class TestErrorPaths:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
         )
         assert_one_error_line(result, "EnumerationTooLarge")
-        assert "refinement level 4 would scatter 17830400 rows" in result.stderr
+        assert result.stderr == (
+            "error: EnumerationTooLarge: level 4 would scatter 17830400 rows "
+            "(256 taps x 69650 samples), above the cap of 16777216\n"
+        )
         assert not list(tmp_path.glob("dumps/*.tsv"))
 
     def test_allocation_failure_is_one_error_line(self, tmp_path):

@@ -284,16 +284,26 @@ def test_refine_level_over_the_scatter_cap_is_refused_before_the_kernel(
     args = ["refine", doc, "--left-closed", "--levels", "3", "--outdir"]
     assert cli.main(args + [str(tmp_path / "full")]) == 0
     assert [step for step, _ in steps] == [1, 2, 3]
-    scatter = 3 * steps[2][1]  # skew3 has three taps
+    samples = steps[2][1]
+    scatter = 3 * samples  # skew3 has three taps
     capsys.readouterr()
+
+    merge = cascade_mod._merge_runs
+
+    def capped_merge(keys, weights):
+        if len(keys) > cascade_mod._SCATTER_CAP:
+            raise AssertionError("a scatter over the cap reached the merge")
+        return merge(keys, weights)
 
     steps.clear()
     monkeypatch.setattr(cascade_mod, "_SCATTER_CAP", scatter - 1)
+    monkeypatch.setattr(cascade_mod, "_merge_runs", capped_merge)
     assert cli.main(args + [str(tmp_path / "capped")]) == 3
     lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(
-        f"error: EnumerationTooLarge: refinement level 3 would scatter {scatter} rows"
-    )
-    assert [step for step, _ in steps] == [1, 2]
+    assert lines == [
+        f"error: EnumerationTooLarge: level 3 would scatter {scatter} rows "
+        f"(3 taps x {samples} samples), above the cap of {scatter - 1}"
+    ]
+    # the kernel is called for level 3 and refuses it before the merge
+    assert [step for step, _ in steps] == [1, 2, 3] and steps[2][1] == samples
     assert not list(tmp_path.glob("capped/*.tsv"))

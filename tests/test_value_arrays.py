@@ -17,10 +17,12 @@ from refinable import (
     candidate_points,
     export_values,
     lattice_points_in_bound,
+    periodization_check,
     problem_from_data,
     read_values,
     refine_consistency,
     refine_values,
+    refinement_step,
 )
 from refinable.bounds import best_bound
 from refinable.cascade import SampledFunction
@@ -308,6 +310,14 @@ class TestSampledFunction:
         with pytest.raises(ValueError, match="indices and values must align"):
             SampledFunction(0, indices, values)
 
+    @pytest.mark.parametrize(
+        "indices", [np.array([[0.5, 1.9]]), np.array([[0, 1]], dtype=np.uint64)]
+    )
+    def test_rejects_non_integer_indices(self, indices):
+        # a float row would be truncated by the kernel and the writer
+        with pytest.raises(ValueError, match="^indices must be integers, not "):
+            SampledFunction(0, indices, np.ones(1))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValueError, match="values must be finite"):
@@ -317,3 +327,37 @@ class TestSampledFunction:
         f = sampled(1, [(0, 1), (2, -3)], [0.5, 0.25], 2)
         assert [field.name for field in dataclasses.fields(f)] == ["level", "indices", "values"]
         assert f.as_dict() == {(0, 1): 0.5, (2, -3): 0.25}
+
+
+# ---------------------------------------------------------------------------
+# index rows of another width or of a non-integer type
+# ---------------------------------------------------------------------------
+
+THREE_WIDE = np.array([[0, 1, 2], [3, 4, 5]])
+
+
+def test_residues_refuse_rows_of_another_width(quincunx_problem):
+    with pytest.raises(ValueError, match=r"^index rows must have width 2, not shape \(2, 3\)$"):
+        quincunx_problem.matrix.residues(1, THREE_WIDE)
+
+
+def test_periodization_refuses_rows_of_another_width(quincunx_problem):
+    table = refine_values(quincunx_problem, seed_from({(0, 0): 1.0}), 1)
+    with pytest.raises(ValueError, match=r"^level-1 index rows must have width 2"):
+        periodization_check(quincunx_problem, table, 1, THREE_WIDE)
+
+
+def test_kernel_refuses_rows_of_another_width(quincunx_problem):
+    with pytest.raises(ValueError, match=r"^index rows must have width 2, not shape \(1, 3\)$"):
+        refinement_step(quincunx_problem, [[0, 1, 2]], [1.0], 1)
+
+
+def test_kernel_refuses_non_integer_rows(quincunx_problem):
+    with pytest.raises(ValueError, match="^index rows must be integers, not float64$"):
+        refinement_step(quincunx_problem, np.array([[0.5, 1.9]]), np.ones(1), 1)
+
+
+def test_refine_refuses_a_seed_of_another_width(quincunx_problem):
+    seed = SampledFunction(0, np.array([[0, 1, 2]]), np.ones(1))
+    with pytest.raises(ValueError, match=r"^seed indices must have width 2"):
+        refine_values(quincunx_problem, seed, 1)
