@@ -168,7 +168,7 @@ def finite_level_ball(problem: Problem, initial_radius: float, level: int) -> fl
     :func:`ball_bound`."""
     if level < 1:
         raise ValueError("level must be positive")
-    if initial_radius < 0:
+    if not initial_radius >= 0:
         raise ValueError("initial radius must be nonnegative")
     nrm = problem.matrix.inverse_norm
     if nrm >= 1.0:
@@ -207,9 +207,11 @@ def general_ball_bound(problem: Problem) -> Ball:
 # ---------------------------------------------------------------------------
 
 def bound_1d(m: int, radius: float) -> float:
-    """One-dimensional half-width Q / (|m| - 1)."""
+    """One-dimensional half-width Q / (|m| - 1) for a radius Q >= 0."""
     if abs(m) <= 1:
         raise NotDilation1D(f"|m| must exceed 1, got {m}")
+    if not radius >= 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     return radius / (abs(m) - 1)
 
 
@@ -232,7 +234,7 @@ def jordan_block_bound(eigenvalue: float, size: int, radius: float) -> tuple[flo
     Q sum_{i=1..k} (a-1)^-i; at a = 2 every step is exact and h_k = Q k.
     """
     a = abs(eigenvalue)
-    if a <= 1.0:
+    if not a > 1.0:
         raise NotDilationEigenvalue(f"|eigenvalue| must exceed 1, got {a:.6g}")
     if size < 1:
         raise ValueError("block size must be positive")
@@ -258,7 +260,7 @@ def jordan_recurrence_table(
     fixed point.
     """
     a = abs(eigenvalue)
-    if a <= 1.0:
+    if not a > 1.0:
         raise NotDilationEigenvalue(f"|eigenvalue| must exceed 1, got {a:.6g}")
     if size < 1 or n_max < 1:
         raise ValueError("size and n_max must be positive")

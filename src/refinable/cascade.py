@@ -234,15 +234,20 @@ def refinement_step(
     run in tap order (:func:`_merge_runs`).  This function is the single
     kernel shared by :func:`cascade_step` and value refinement.
 
-    ``indices`` must be signed integer ``(n, d)`` rows (ValueError).  A step
-    that would scatter more than ``_SCATTER_CAP`` rows is refused with
-    EnumerationTooLarge before anything is allocated.
+    ``indices`` must be signed integer ``(n, d)`` rows and ``values`` must
+    have shape ``(n,)`` (ValueError).  A step that would scatter more than
+    ``_SCATTER_CAP`` rows is refused with EnumerationTooLarge before
+    anything is allocated.
     """
     if step < 1:
         raise ValueError("step must be positive")
     d = problem.dim
     indices = _index_rows(indices, d)
     taps, samples = len(problem.mask.tap_rows), len(indices)
+    values = np.asarray(values)
+    if values.shape != (samples,):
+        raise ValueError(f"values must have shape ({samples},), one per index row, "
+                         f"not {values.shape}")
     if taps * samples > _SCATTER_CAP:
         raise EnumerationTooLarge(
             f"level {step} would scatter {taps * samples} rows "
@@ -342,7 +347,7 @@ def empirical_support(
 ) -> RealBox | None:
     """Componentwise extent of M^-n k over samples with |value| > eps;
     None when nothing exceeds the threshold."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     keep = np.abs(sampled.values) > eps
     if not np.any(keep):
@@ -503,11 +508,12 @@ def write_rows(
     written a chunk at a time, so no level's text is held in memory at once;
     each column of a chunk, or the heads of its runs of equal cells, is
     formatted in one call and the chunk's cells are joined in one
-    (:func:`_chunk_text`).
+    (:func:`_chunk_text`).  Index rows of another width or of a non-integer
+    dtype are refused with ValueError.
     """
     stream.write(sample_header(matrix.dim) + "\n")
     for level, indices, values in levels:
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = _index_rows(indices, matrix.dim).astype(np.int64, copy=False)
         coords = matrix.coordinates(indices, level)
         columns = [*indices.T, *coords.T, np.asarray(values, dtype=np.float64)]
         for start in range(0, len(values), _WRITE_CHUNK):

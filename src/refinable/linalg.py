@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -413,33 +412,40 @@ def _null_space(matrix: np.ndarray, rtol: float, floor: float) -> tuple[np.ndarr
     return sing, vt[rank:] * signs, np.ascontiguousarray(u[:, rank:].T) * signs
 
 
-def _rank(matrix: IntMatrix) -> int:
-    """The exact rank of an integer matrix, by Gaussian elimination in
-    Fractions."""
-    rows = [[Fraction(x) for x in row] for row in matrix.rows]
-    rank = 0
-    for col in range(matrix.dim):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] / rows[rank][col]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def _echelon_pivots(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The pivots of a column echelon form H = A U of the square integer
+    matrix A, U unimodular; their count is the rank of A.
+
+    Row by row, Euclid's algorithm on pairs of columns leaves the gcd of the
+    row's entries from column p on in column p, p the number of pivots so
+    far, and zeros to its right; a nonzero gcd is the row's pivot.  For a
+    nonsingular A, H is lower triangular with the pivots on its diagonal,
+    H Z^d = A Z^d, and the product of their absolute values is |det A|.
+    """
+    a = [list(row) for row in rows]
+    pivots: list[int] = []
+    for row_i in a:
+        p = len(pivots)
+        for j in range(p + 1, len(a)):
+            while row_i[j]:
+                q = row_i[p] // row_i[j]
+                for row in a:
+                    row[p], row[j] = row[j], row[p] - q * row[j]
+        if row_i[p]:
+            pivots.append(row_i[p])
+    return pivots
 
 
 def _exact_nullities(matrix: IntMatrix, lam: int, top: int) -> list[int]:
     """The nullities of (M - lam I)^k for k = 0..top, from exact integer
-    powers and exact ranks."""
+    powers and their integer echelon pivots."""
     d = matrix.dim
     nmat = IntMatrix(tuple(
         tuple(x - lam * (i == j) for j, x in enumerate(row)) for i, row in enumerate(matrix.rows)
     ))
     nullities, power = [0], nmat
     for _ in range(top):
-        nullities.append(d - _rank(power))
+        nullities.append(d - len(_echelon_pivots(power.rows)))
         power = _matmul(power, nmat)
     return nullities
 

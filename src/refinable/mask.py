@@ -36,7 +36,7 @@ from .errors import (
     NotDilation,
     ParseError,
 )
-from .linalg import _INDEX_LIMIT, MAX_DIM, DilationMatrix, IntMatrix
+from .linalg import _INDEX_LIMIT, MAX_DIM, DilationMatrix, IntMatrix, _echelon_pivots
 
 MASK_SUM_TOL = 1e-12
 COSET_UNIFORM_TOL = 1e-10
@@ -312,33 +312,17 @@ class CosetSums:
     uniform: bool
 
 
-def _hermite_diagonal(rows: tuple[tuple[int, ...], ...]) -> list[int]:
-    """|H_ii| for a lower-triangular H = M U with U unimodular, so that
-    H Z^d = M Z^d and the product of the entries is m.
-
-    Row by row, Euclid's algorithm on pairs of columns leaves the gcd of the
-    row's entries on and right of the diagonal on the diagonal, and zeros to
-    its right.
-    """
-    a = [list(row) for row in rows]
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            while a[i][j]:
-                q = a[i][i] // a[i][j]
-                for row in a:
-                    row[i], row[j] = row[j], row[i] - q * row[j]
-    return [abs(a[i][i]) for i in range(len(a))]
-
-
 def _coset_representatives(matrix: DilationMatrix) -> np.ndarray:
     """The integer points of M [0,1)^d, exactly m class representatives, as
     lexicographically sorted int64 rows.
 
     Walking Z^d / M Z^d from the origin by unit steps, e_d reaches t_d
     classes before it returns to the origin's, e_(d-1) then reaches t_(d-1)
-    cosets of those, and so on down to e_1, where t_i = |H_ii|
-    (:func:`_hermite_diagonal`): the box 0 <= r_i < t_i holds one point of
-    each of the m classes.  Each r moves into M [0,1)^d as
+    cosets of those, and so on down to e_1, where t_i = |H_ii| for the
+    lower-triangular H = M U, U unimodular, that holds M's integer echelon
+    pivots on its diagonal (:func:`linalg._echelon_pivots`), so that
+    H Z^d = M Z^d: the box 0 <= r_i < t_i holds one point of each of the
+    m classes.  Each r moves into M [0,1)^d as
     p = M frac(M^-1 r) = M u / m in integers, where u = s adj(M) r mod m
     is r's residue key (:meth:`DilationMatrix.residues`) times s, the sign
     of det M.
@@ -353,8 +337,8 @@ def _coset_representatives(matrix: DilationMatrix) -> np.ndarray:
             f"{m} residue classes exceed the cap of {_ENUMERATION_CAP}"
         )
     sign = 1 if matrix.determinant > 0 else -1
-    box = np.indices(_hermite_diagonal(rows), dtype=np.int64).reshape(matrix.dim, -1).T
-    keys = sign * matrix.residues(1, box) % m
+    box = np.indices([abs(x) for x in _echelon_pivots(rows)], dtype=np.int64)
+    keys = sign * matrix.residues(1, box.reshape(matrix.dim, -1).T) % m
     reps = keys @ np.asarray(rows, dtype=np.int64).T // m
     return reps[np.lexsort(reps.T[::-1])]
 

@@ -121,11 +121,13 @@ def build_transfer_matrix(problem: Problem, points: np.ndarray) -> TransferMatri
     the cost is O(N |mask|) up to a sort, and one assignment places every
     entry: each entry gets at most one tap, since q = M k_i - k_j is fixed by
     (i, j).  Raises EnumerationTooLarge when N exceeds the cap on the dense
-    matrix, before that matrix is allocated."""
-    points = np.asarray(points, dtype=np.int64)  # keys are computed in int64
+    matrix, before that matrix is allocated, and ValueError unless
+    ``points`` are distinct signed integer rows of width d."""
     n, d = len(points), problem.dim
     if n == 0:
         raise ValueError("points must be nonempty")
+    # keys are computed in int64
+    points = _index_rows(points, d, "points").astype(np.int64, copy=False)
     if n > _TRANSFER_CAP:
         raise EnumerationTooLarge(
             f"transfer matrix over {n} candidate points exceeds the cap of "

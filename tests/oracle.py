@@ -19,6 +19,9 @@ For the determinant and the adjugate: Bareiss fraction-free elimination
 and the cofactor expansion, with one Bareiss determinant per minor.  The
 library reads both off its Faddeev-LeVerrier recursion instead.
 
+For the rank: Gaussian elimination in ``Fraction`` arithmetic.  The library
+counts the pivots of an integer column echelon form instead.
+
 For the spectrum: the Faddeev-LeVerrier recursion, Yun's squarefree split
 and the root finder carried out in ``Fraction`` arithmetic, with each factor
 made monic.  The library runs the same algorithms on integer polynomials, so
@@ -195,6 +198,23 @@ def reference_refine(problem, level0, levels):
         indices = np.asarray(targets, dtype=np.int64)
         values = np.asarray([level_values[p] for p in targets])
     return table
+
+
+def exact_rank(rows: list[list[int]]) -> int:
+    """Rank by Gaussian elimination over the rationals."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col] != 0:
+                factor = work[i][col] / work[rank][col]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
 
 
 def determinant(matrix: IntMatrix) -> int:

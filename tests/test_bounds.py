@@ -25,8 +25,10 @@ from refinable import (
     jordan_recurrence_table,
     parallelepiped_bound,
     cli,
+    empirical_support,
     problem_from_data,
 )
+from refinable.cascade import SampledFunction
 from refinable.errors import (
     IllConditionedTransform,
     NormNotContractive,
@@ -119,6 +121,21 @@ class TestGeneralBallBound:
             [{"q": [0, 0], "c": "1/2"}, {"q": [2, 0], "c": "1/2"}],
         )
         assert general_ball_bound(problem).radius == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(("call", "error"), [
+    (lambda p: empirical_support(p, SampledFunction(0, np.array([[0]]), np.ones(1)), math.nan),
+     ValueError),
+    (lambda p: jordan_block_bound(math.nan, 2, 1.0), NotDilationEigenvalue),
+    (lambda p: jordan_recurrence_table(math.nan, 2, 1.0, 1.0, 3), NotDilationEigenvalue),
+    (lambda p: finite_level_ball(p, math.nan, 2), ValueError),
+    (lambda p: bound_1d(2, math.nan), ValueError),
+    (lambda p: bound_1d(2, -1.0), ValueError),
+], ids=["support-eps", "block-eigenvalue", "table-eigenvalue", "level-ball-radius",
+        "1d-radius-nan", "1d-radius-negative"])
+def test_nan_and_negative_inputs_are_refused(haar_problem, call, error):
+    with pytest.raises(error):
+        call(haar_problem)
 
 
 class TestCoordinateBounds:

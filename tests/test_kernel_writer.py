@@ -150,6 +150,15 @@ def test_writer_edge_cases(d):
     assert written(matrix, blocks) == per_row_reference(matrix, blocks)
 
 
+@pytest.mark.parametrize(("indices", "message"), [
+    ([[0.7]], "^index rows must be integers, not float64$"),
+    ([[0, 1]], r"^index rows must have width 1, not shape \(1, 2\)$"),
+], ids=["float", "wide"])
+def test_writer_refuses_rows_that_are_not_index_rows(indices, message):
+    with pytest.raises(ValueError, match=message):
+        written(MATRICES[1], [(0, np.array(indices), np.ones(1))])
+
+
 def test_formatted_matches_repr_across_exponent_range():
     # every power of 2 and of 10 of float64 with its neighbours within 50 ulps,
     # of both signs: about 550 k values, subnormals and both zeros among them

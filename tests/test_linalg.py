@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from refinable import DilationMatrix, IntMatrix, operator_norm
 from refinable.errors import ComplexSpectrum, SingularMatrix
+from refinable.linalg import _echelon_pivots
 
-from oracle import as_floats, fraction_inverse, fraction_inverse_power
+from oracle import as_floats, determinant, exact_rank, fraction_inverse, fraction_inverse_power
 
 SKEW = IntMatrix.from_rows([[0, 1], [3, 1]])
 
@@ -301,3 +304,45 @@ class TestDilationMatrixCache:
         assert dm.inverse_norm == pytest.approx(math.sqrt((11 + math.sqrt(85)) / 18), rel=1e-12)
         assert dm.spectrum.all_real
         assert dm.power(2).rows == ((3, 1), (3, 4))
+
+
+# ---------------------------------------------------------------------------
+# the integer echelon pivots behind the exact ranks and the lattice quotient
+# ---------------------------------------------------------------------------
+
+# entries of a few bits, and of about 40, where the column Euclid steps
+# are many and the products are far past float precision
+ENTRIES = st.sampled_from([3, 10**12]).flatmap(lambda bound: st.integers(-bound, bound))
+
+
+def integer_rows(rows, columns, entries=ENTRIES):
+    return st.lists(st.lists(entries, min_size=columns, max_size=columns),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def planted_rank_products(draw):
+    """B C with B of size d x r and C of size r x d, so of rank at most r."""
+    d = draw(st.integers(1, 5))
+    r = draw(st.integers(0, d))
+    entries = draw(st.sampled_from([3, 10**6]))
+    b = draw(integer_rows(d, r, st.integers(-entries, entries)))
+    c = draw(integer_rows(r, d, st.integers(-entries, entries)))
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] if r else [0] * d
+            for row in b]
+
+
+@settings(max_examples=300)
+@given(planted_rank_products())
+def test_pivot_count_is_the_exact_rank(rows):
+    assert len(_echelon_pivots(rows)) == exact_rank(rows)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5).flatmap(lambda d: integer_rows(d, d)))
+def test_pivots_of_a_nonsingular_matrix_multiply_to_its_determinant(rows):
+    det = determinant(IntMatrix.from_rows(rows))
+    assume(det != 0)
+    pivots = _echelon_pivots(rows)
+    assert len(pivots) == len(rows)
+    assert math.prod(abs(x) for x in pivots) == abs(det)

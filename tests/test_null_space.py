@@ -7,30 +7,13 @@ the relative tolerance, so the numerical nullity must equal d minus the
 rank found exactly, by elimination in Fractions.
 """
 
-from fractions import Fraction
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refinable.linalg import RANK_RTOL, _null_space
 
-
-def exact_rank(rows: list[list[int]]) -> int:
-    """Rank by Gaussian elimination over the rationals."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(work[0]) if work else 0):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                factor = work[i][col] / work[rank][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+from oracle import exact_rank
 
 
 @st.composite

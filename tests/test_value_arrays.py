@@ -357,6 +357,29 @@ def test_kernel_refuses_non_integer_rows(quincunx_problem):
         refinement_step(quincunx_problem, np.array([[0.5, 1.9]]), np.ones(1), 1)
 
 
+@pytest.mark.parametrize(("indices", "values", "shape"), [
+    ([[0]], [1.0, 2.0], r"\(2,\)"),
+    ([[0], [1]], [1.0], r"\(1,\)"),
+    ([[0]], [[1.0]], r"\(1, 1\)"),
+], ids=["two-values-one-row", "one-value-two-rows", "values-as-a-column"])
+def test_kernel_refuses_values_that_do_not_align_with_the_rows(
+    haar_problem, indices, values, shape
+):
+    rows = np.array(indices)
+    message = rf"^values must have shape \({len(rows)},\), one per index row, not {shape}$"
+    with pytest.raises(ValueError, match=message):
+        refinement_step(haar_problem, rows, np.array(values), 1)
+
+
+@pytest.mark.parametrize(("points", "message"), [
+    ([[0.4], [1.9]], "^points must be integers, not float64$"),
+    ([[0, 0], [1, 0]], r"^points must have width 1, not shape \(2, 2\)$"),
+], ids=["float", "wide"])
+def test_transfer_refuses_points_that_are_not_index_rows(haar_problem, points, message):
+    with pytest.raises(ValueError, match=message):
+        build_transfer_matrix(haar_problem, np.array(points))
+
+
 def test_refine_refuses_a_seed_of_another_width(quincunx_problem):
     seed = SampledFunction(0, np.array([[0, 1, 2]]), np.ones(1))
     with pytest.raises(ValueError, match=r"^seed indices must have width 2"):
